@@ -38,7 +38,9 @@ use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
     VwbConfig,
 };
-use sttcache_bench::{explain, multicore, parallel, profile, trace_cache, workload, SweepRunner};
+use sttcache_bench::{
+    explain, multicore, out, outln, parallel, profile, trace_cache, workload, SweepRunner,
+};
 use sttcache_workloads::{catalog, ProblemSize, Transformations, Workload};
 
 struct Options {
@@ -251,9 +253,9 @@ fn run_multicore(o: &Options) {
     }
     if let Err(e) = multicore::mix_platform(&mix, o.org, o.l2_banks) {
         eprintln!("invalid configuration: {e}");
-        std::process::exit(1);
+        std::process::exit(2);
     }
-    println!(
+    outln!(
         "# sim: {}-core mix {} over shared L2 ({:?}, opts {})",
         mix.cores(),
         mix.label(),
@@ -262,12 +264,12 @@ fn run_multicore(o: &Options) {
     );
     if o.explain {
         let e = multicore::explain_mix(&mix, o.org, o.size, o.opts, o.l2_banks);
-        print!("{}", multicore::mix_stats_text(&e.result, &mix));
-        println!();
-        print!("{}", e.render());
+        out!("{}", multicore::mix_stats_text(&e.result, &mix));
+        outln!();
+        out!("{}", e.render());
     } else {
         let r = multicore::run_mix(&mix, o.org, o.size, o.opts, o.l2_banks);
-        print!("{}", multicore::mix_stats_text(&r, &mix));
+        out!("{}", multicore::mix_stats_text(&r, &mix));
     }
 }
 
@@ -319,17 +321,17 @@ fn main() {
     };
 
     let result = &results[0];
-    println!(
+    outln!(
         "# sim: {} on {} ({:?}, opts {})",
         workload::label_of(bench),
         o.org.name(),
         o.size,
         o.opts
     );
-    print!("{}", result.stats_text());
+    out!("{}", result.stats_text());
 
     if let Some(base) = results.get(1) {
-        println!(
+        outln!(
             "{:<40} {:>16.2} # percent vs SRAM baseline on the same binary",
             "penalty.vs_sram_pct",
             sttcache::penalty_pct(base.cycles(), result.cycles())
@@ -337,8 +339,8 @@ fn main() {
     }
 
     if let Some(e) = &explanation {
-        println!();
-        print!("{}", e.render());
+        outln!();
+        out!("{}", e.render());
     }
 
     if o.profile {

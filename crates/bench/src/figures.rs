@@ -2,70 +2,85 @@
 
 use crate::experiments::{self, Fig4Row, Fig6Row, Fig9Row, SeriesTable};
 use crate::extensions::{self, EnergyRow, SleepRow};
+use crate::{out, outln};
 use sttcache::PenaltyRow;
 use sttcache_workloads::ProblemSize;
 
 fn print_series_table(title: &str, table: &SeriesTable) {
-    println!("== {title} ==");
-    print!("{:<12}", "benchmark");
+    outln!("== {title} ==");
+    out!("{:<12}", "benchmark");
     for s in &table.series {
-        print!(" {s:>24}");
+        out!(" {s:>24}");
     }
-    println!();
+    outln!();
     for (name, cols) in &table.rows {
-        print!("{name:<12}");
+        out!("{name:<12}");
         for v in cols {
-            print!(" {v:>23.2}%");
+            out!(" {v:>23.2}%");
         }
-        println!();
+        outln!();
     }
-    println!();
+    outln!();
 }
 
 /// Prints Table I in the paper's layout.
 pub fn print_table1() {
     let [sram, stt] = experiments::table1();
-    println!("== Table I: 64KB SRAM L1 D-cache vs 64KB STT-MRAM L1 D-cache ==");
-    println!(
+    outln!("== Table I: 64KB SRAM L1 D-cache vs 64KB STT-MRAM L1 D-cache ==");
+    outln!(
         "{:<18} {:>12} {:>12}",
-        "Parameters", sram.technology, stt.technology
+        "Parameters",
+        sram.technology,
+        stt.technology
     );
-    println!(
+    outln!(
         "{:<18} {:>11.3}ns {:>11.2}ns",
-        "Read Latency", sram.read_latency_ns, stt.read_latency_ns
+        "Read Latency",
+        sram.read_latency_ns,
+        stt.read_latency_ns
     );
-    println!(
+    outln!(
         "{:<18} {:>11.3}ns {:>11.2}ns",
-        "Write Latency", sram.write_latency_ns, stt.write_latency_ns
+        "Write Latency",
+        sram.write_latency_ns,
+        stt.write_latency_ns
     );
-    println!(
+    outln!(
         "{:<18} {:>10.2}mW {:>10.2}mW",
-        "Leakage", sram.leakage_mw, stt.leakage_mw
+        "Leakage",
+        sram.leakage_mw,
+        stt.leakage_mw
     );
-    println!(
+    outln!(
         "{:<18} {:>10.0}F2 {:>10.0}F2",
-        "Area", sram.cell_area_f2, stt.cell_area_f2
+        "Area",
+        sram.cell_area_f2,
+        stt.cell_area_f2
     );
-    println!(
+    outln!(
         "{:<18} {:>11}way {:>10}way",
-        "Associativity", sram.associativity, stt.associativity
+        "Associativity",
+        sram.associativity,
+        stt.associativity
     );
-    println!(
+    outln!(
         "{:<18} {:>8} Bits {:>7} Bits",
-        "Cache Line size", sram.line_bits, stt.line_bits
+        "Cache Line size",
+        sram.line_bits,
+        stt.line_bits
     );
-    println!();
+    outln!();
 }
 
 /// Prints Fig. 1 (drop-in penalty per benchmark).
 pub fn print_fig1(size: ProblemSize) {
     let rows: Vec<PenaltyRow> = experiments::fig1(size);
-    println!("== Fig. 1: Performance penalty for the drop-in NVM D-Cache ==");
-    println!("(relative to the SRAM D-cache baseline = 100%)");
+    outln!("== Fig. 1: Performance penalty for the drop-in NVM D-Cache ==");
+    outln!("(relative to the SRAM D-cache baseline = 100%)");
     for r in &rows {
-        println!("{r}");
+        outln!("{r}");
     }
-    println!();
+    outln!();
 }
 
 /// Prints Fig. 3 (drop-in vs VWB).
@@ -79,18 +94,22 @@ pub fn print_fig3(size: ProblemSize) {
 /// Prints Fig. 4 (read vs write penalty contribution).
 pub fn print_fig4(size: ProblemSize) {
     let rows: Vec<Fig4Row> = experiments::fig4(size);
-    println!("== Fig. 4: Read vs write contribution to the NVM penalty ==");
-    println!(
+    outln!("== Fig. 4: Read vs write contribution to the NVM penalty ==");
+    outln!(
         "{:<12} {:>22} {:>23}",
-        "benchmark", "Read penalty contrib", "Write penalty contrib"
+        "benchmark",
+        "Read penalty contrib",
+        "Write penalty contrib"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:<12} {:>21.1}% {:>22.1}%",
-            r.name, r.read_pct, r.write_pct
+            r.name,
+            r.read_pct,
+            r.write_pct
         );
     }
-    println!();
+    outln!();
 }
 
 /// Prints Fig. 5 (VWB with and without code transformations).
@@ -104,18 +123,24 @@ pub fn print_fig5(size: ProblemSize) {
 /// Prints Fig. 6 (per-transformation contribution).
 pub fn print_fig6(size: ProblemSize) {
     let rows: Vec<Fig6Row> = experiments::fig6(size);
-    println!("== Fig. 6: Contribution of transformations to penalty reduction ==");
-    println!(
+    outln!("== Fig. 6: Contribution of transformations to penalty reduction ==");
+    outln!(
         "{:<12} {:>14} {:>13} {:>8}",
-        "benchmark", "Vectorization", "Pre-fetching", "Others"
+        "benchmark",
+        "Vectorization",
+        "Pre-fetching",
+        "Others"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:<12} {:>13.1}% {:>12.1}% {:>7.1}%",
-            r.name, r.vectorization_pct, r.prefetching_pct, r.others_pct
+            r.name,
+            r.vectorization_pct,
+            r.prefetching_pct,
+            r.others_pct
         );
     }
-    println!();
+    outln!();
 }
 
 /// Prints Fig. 7 (VWB size sweep).
@@ -137,18 +162,22 @@ pub fn print_fig8(size: ProblemSize) {
 /// Prints Fig. 9 (optimization gain on baseline vs proposal).
 pub fn print_fig9(size: ProblemSize) {
     let rows: Vec<Fig9Row> = experiments::fig9(size);
-    println!("== Fig. 9: Optimization gains: SRAM baseline vs NVM proposal ==");
-    println!(
+    outln!("== Fig. 9: Optimization gains: SRAM baseline vs NVM proposal ==");
+    outln!(
         "{:<12} {:>24} {:>28}",
-        "benchmark", "Baseline perf gain", "NVM proposal perf gain"
+        "benchmark",
+        "Baseline perf gain",
+        "NVM proposal perf gain"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:<12} {:>23.1}% {:>27.1}%",
-            r.name, r.baseline_gain_pct, r.proposal_gain_pct
+            r.name,
+            r.baseline_gain_pct,
+            r.proposal_gain_pct
         );
     }
-    println!();
+    outln!();
 }
 
 /// Prints the extension experiments (beyond the paper's figures).
@@ -170,31 +199,47 @@ pub fn print_extensions(size: ProblemSize) {
         &extensions::ext_nvm_l2(size),
     );
     let rows: Vec<EnergyRow> = extensions::ext_energy(size);
-    println!("== Ext. 5: energy per benchmark (uJ) ==");
-    println!(
+    outln!("== Ext. 5: energy per benchmark (uJ) ==");
+    outln!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
-        "benchmark", "SRAM total", "NVM total", "SRAM DL1-only", "NVM DL1-only"
+        "benchmark",
+        "SRAM total",
+        "NVM total",
+        "SRAM DL1-only",
+        "NVM DL1-only"
     );
     for r in &rows {
-        println!(
+        outln!(
             "{:<12} {:>12.2} {:>12.2} {:>14.3} {:>14.3}",
-            r.name, r.sram_uj, r.nvm_uj, r.sram_dl1_uj, r.nvm_dl1_uj
+            r.name,
+            r.sram_uj,
+            r.nvm_uj,
+            r.sram_dl1_uj,
+            r.nvm_dl1_uj
         );
     }
-    println!();
+    outln!();
     let sleep: Vec<SleepRow> = extensions::ext_normally_off(size);
-    println!("== Ext. 6: normally-off power-gating (sleep-entry drain) ==");
-    println!(
+    outln!("== Ext. 6: normally-off power-gating (sleep-entry drain) ==");
+    outln!(
         "{:<12} {:>16} {:>16} {:>15} {:>15}",
-        "benchmark", "SRAM dirty lines", "SRAM flush cyc", "NVM dirty (VWB)", "NVM flush cyc"
+        "benchmark",
+        "SRAM dirty lines",
+        "SRAM flush cyc",
+        "NVM dirty (VWB)",
+        "NVM flush cyc"
     );
     for r in &sleep {
-        println!(
+        outln!(
             "{:<12} {:>16} {:>16} {:>15} {:>15}",
-            r.name, r.sram_dirty_lines, r.sram_flush_cycles, r.nvm_dirty_lines, r.nvm_flush_cycles
+            r.name,
+            r.sram_dirty_lines,
+            r.sram_flush_cycles,
+            r.nvm_dirty_lines,
+            r.nvm_flush_cycles
         );
     }
-    println!();
+    outln!();
 }
 
 /// Prints the organization-catalog sweep (every catalog entry, penalty
@@ -245,37 +290,42 @@ pub fn print_csv(which: &str, size: ProblemSize) -> bool {
         _ => None,
     };
     if let Some(t) = table {
-        print!("{}", t.to_csv());
+        out!("{}", t.to_csv());
         return true;
     }
     match which {
         "fig1" => {
-            println!("benchmark,penalty_pct");
+            outln!("benchmark,penalty_pct");
             for r in experiments::fig1(size) {
-                println!("{},{:.3}", r.name, r.penalty_pct);
+                outln!("{},{:.3}", r.name, r.penalty_pct);
             }
         }
         "fig4" => {
-            println!("benchmark,read_pct,write_pct");
+            outln!("benchmark,read_pct,write_pct");
             for r in experiments::fig4(size) {
-                println!("{},{:.3},{:.3}", r.name, r.read_pct, r.write_pct);
+                outln!("{},{:.3},{:.3}", r.name, r.read_pct, r.write_pct);
             }
         }
         "fig6" => {
-            println!("benchmark,vectorization_pct,prefetching_pct,others_pct");
+            outln!("benchmark,vectorization_pct,prefetching_pct,others_pct");
             for r in experiments::fig6(size) {
-                println!(
+                outln!(
                     "{},{:.3},{:.3},{:.3}",
-                    r.name, r.vectorization_pct, r.prefetching_pct, r.others_pct
+                    r.name,
+                    r.vectorization_pct,
+                    r.prefetching_pct,
+                    r.others_pct
                 );
             }
         }
         "fig9" => {
-            println!("benchmark,baseline_gain_pct,proposal_gain_pct");
+            outln!("benchmark,baseline_gain_pct,proposal_gain_pct");
             for r in experiments::fig9(size) {
-                println!(
+                outln!(
                     "{},{:.3},{:.3}",
-                    r.name, r.baseline_gain_pct, r.proposal_gain_pct
+                    r.name,
+                    r.baseline_gain_pct,
+                    r.proposal_gain_pct
                 );
             }
         }

@@ -20,6 +20,7 @@ pub mod explain;
 pub mod extensions;
 pub mod figures;
 pub mod multicore;
+pub mod out;
 pub mod parallel;
 pub mod profile;
 pub mod spans;

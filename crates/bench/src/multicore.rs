@@ -28,7 +28,7 @@ use sttcache::{
     CoreSpec, DCacheOrganization, MultiPlatform, MultiPlatformConfig, MultiRunResult, RunResult,
 };
 use sttcache_mem::telemetry::{self, TelemetrySnapshot};
-use sttcache_mem::{CacheConfig, Cycle};
+use sttcache_mem::{CacheConfig, Cycle, MemError};
 use sttcache_workloads::{ProblemSize, Transformations, Workload};
 
 /// One core of a mix: which workload it runs, when it starts, and which
@@ -160,7 +160,11 @@ impl MixSpec {
 /// The canonical shared-L2 configuration with an explicit bank count —
 /// the paper's 2 MB 16-way 12-cycle L2, banked `banks` ways (the sweep
 /// knob of the multicore figures grid).
-pub fn shared_l2_config(banks: usize) -> CacheConfig {
+///
+/// # Errors
+///
+/// [`MemError::InvalidBanks`] unless `banks` is a power of two.
+pub fn try_shared_l2_config(banks: usize) -> Result<CacheConfig, MemError> {
     CacheConfig::builder()
         .capacity_bytes(2 * 1024 * 1024)
         .associativity(16)
@@ -171,6 +175,16 @@ pub fn shared_l2_config(banks: usize) -> CacheConfig {
         .mshr_entries(8)
         .write_buffer_entries(8)
         .build()
+}
+
+/// [`try_shared_l2_config`] for bank counts known to be valid, such as
+/// the multicore grid's.
+///
+/// # Panics
+///
+/// Panics unless `banks` is a power of two.
+pub fn shared_l2_config(banks: usize) -> CacheConfig {
+    try_shared_l2_config(banks)
         .expect("canonical l2 geometry is valid at any power-of-two bank count")
 }
 
@@ -179,14 +193,18 @@ pub fn shared_l2_config(banks: usize) -> CacheConfig {
 /// # Errors
 ///
 /// Propagates configuration errors (e.g. more than the supported
-/// maximum of cores) as a printable message.
+/// maximum of cores, or a shared-L2 bank count that is not a power of
+/// two) as a printable message.
 pub fn mix_platform(
     mix: &MixSpec,
     default_org: DCacheOrganization,
     l2_banks: Option<usize>,
 ) -> Result<MultiPlatform, String> {
     let mut cfg = MultiPlatformConfig::new(mix.core_specs(default_org));
-    cfg.l2_override = l2_banks.map(shared_l2_config);
+    cfg.l2_override = l2_banks
+        .map(try_shared_l2_config)
+        .transpose()
+        .map_err(|e| format!("shared L2: {e} (must be a power of two)"))?;
     MultiPlatform::new(cfg).map_err(|e| e.to_string())
 }
 

@@ -78,9 +78,33 @@ impl BankSchedule {
     ///
     /// Panics if `bank` is out of range.
     pub fn reserve(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
+        self.reserve_observed(bank, now, occupancy, crate::gates::any_observer_armed())
+    }
+
+    /// [`BankSchedule::reserve`] for a caller that has already read the
+    /// combined observer gate for the whole access: `armed` says whether
+    /// to run the observers.
+    #[inline]
+    pub(crate) fn reserve_observed(
+        &mut self,
+        bank: usize,
+        now: Cycle,
+        occupancy: u64,
+        armed: bool,
+    ) -> Cycle {
         let start = self.free_at[bank].max(now);
         self.conflict_cycles += start - now;
         self.free_at[bank] = start + occupancy;
+        if armed {
+            self.observe(bank, now, start, occupancy);
+        }
+        start
+    }
+
+    /// The telemetry and invariant observers of one reservation, off the
+    /// hot path: they run only while a gate is armed.
+    #[cold]
+    fn observe(&self, bank: usize, now: Cycle, start: Cycle, occupancy: u64) {
         if crate::telemetry::enabled() {
             self.slot_reservations.add_at(bank, 1);
             self.slot_busy_cycles.add_at(bank, occupancy);
@@ -102,19 +126,6 @@ impl BankSchedule {
                 ),
             );
         }
-        start
-    }
-
-    /// [`BankSchedule::reserve`] minus the gated telemetry/invariant
-    /// observers: identical `free_at`/`conflict_cycles` mutation, no gate
-    /// probes. Only sound to call when both gates are known to be off —
-    /// the cache's hit fast path establishes exactly that before using it.
-    #[inline]
-    pub(crate) fn reserve_quiet(&mut self, bank: usize, now: Cycle, occupancy: u64) -> Cycle {
-        let start = self.free_at[bank].max(now);
-        self.conflict_cycles += start - now;
-        self.free_at[bank] = start + occupancy;
-        start
     }
 
     /// The cycle at which `bank` becomes free.

@@ -4,7 +4,7 @@ use crate::addr::{Addr, Cycle, DecodedAddr, LineAddr};
 use crate::banks::BankSchedule;
 use crate::config::{CacheConfig, WritePolicy};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::set::{CacheSet, LookupResult};
+use crate::set::Residency;
 use crate::stats::CacheStats;
 use crate::write_buffer::WriteBuffer;
 use crate::MemoryLevel;
@@ -63,7 +63,9 @@ pub struct Cache<N> {
     /// Cached [`CacheConfig::sets`]: the set count is derived by integer
     /// division, and the decode math needs it on every access.
     set_count: usize,
-    sets: Vec<CacheSet>,
+    /// Tag, valid, dirty and replacement state of every way: the one
+    /// structure the hit path, the miss path and the audit all read.
+    residency: Residency,
     banks: BankSchedule,
     mshrs: MshrFile,
     write_buffer: WriteBuffer,
@@ -72,15 +74,6 @@ pub struct Cache<N> {
     /// Array writes performed (drives the deterministic AWARE slow-write
     /// cadence).
     array_writes: u64,
-    /// Compact tag mirror of `sets` for the hit fast path: one `u64` tag
-    /// per way, ways of a set contiguous (`set * ways + way`). Kept in
-    /// lock-step with [`CacheSet::fill`]/invalidate by the only two code
-    /// paths that change residency; audited against `sets` whenever the
-    /// invariant gate is armed. Empty when the mirror is disabled
-    /// (associativity above [`MIRROR_MAX_WAYS`]).
-    mirror_tags: Vec<u64>,
-    /// Valid-way bitmask per set, same lifetime rules as `mirror_tags`.
-    mirror_valid: Vec<u64>,
     /// Telemetry component label (`"dl1"`, `"l2"`, …).
     component: &'static str,
     /// Pre-resolved wear/share telemetry slots, re-resolved whenever the
@@ -90,36 +83,14 @@ pub struct Cache<N> {
     slot_bank_reads: crate::telemetry::Slot,
 }
 
-/// Widest associativity the compact tag mirror can represent (one valid
-/// bit per way in a `u64`). Wider caches simply take the general path.
-const MIRROR_MAX_WAYS: usize = 64;
-
 impl<N: MemoryLevel> Cache<N> {
     /// Creates a cache with the given configuration in front of `next`.
     pub fn new(config: CacheConfig, next: N) -> Self {
-        let mirrored = config.associativity() <= MIRROR_MAX_WAYS;
         Cache {
-            sets: (0..config.sets())
-                .map(|i| {
-                    CacheSet::with_policy(
-                        config.associativity(),
-                        config.replacement(),
-                        i as u64 + 1,
-                    )
-                })
-                .collect(),
+            residency: Residency::new(config.sets(), config.associativity(), config.replacement()),
             banks: BankSchedule::new(config.banks()),
             mshrs: MshrFile::new(config.mshr_entries()),
             write_buffer: WriteBuffer::new(config.write_buffer_entries()),
-            mirror_tags: vec![
-                0;
-                if mirrored {
-                    config.sets() * config.associativity()
-                } else {
-                    0
-                }
-            ],
-            mirror_valid: vec![0; if mirrored { config.sets() } else { 0 }],
             set_count: config.sets(),
             config,
             next,
@@ -130,54 +101,6 @@ impl<N: MemoryLevel> Cache<N> {
             slot_bank_writes: crate::telemetry::Slot::indexed("cache", "bank_writes"),
             slot_bank_reads: crate::telemetry::Slot::indexed("cache", "bank_reads"),
         }
-    }
-
-    /// Whether the compact tag mirror is maintained for this geometry.
-    #[inline]
-    fn mirrored(&self) -> bool {
-        !self.mirror_valid.is_empty()
-    }
-
-    /// Records `tag` landing in `(set_index, way)` in the tag mirror.
-    #[inline]
-    fn mirror_fill(&mut self, set_index: usize, way: usize, tag: u64) {
-        if self.mirrored() {
-            self.mirror_tags[set_index * self.config.associativity() + way] = tag;
-            self.mirror_valid[set_index] |= 1 << way;
-        }
-    }
-
-    /// Rebuilds one set's slice of the tag mirror from the authoritative
-    /// way state (used after invalidations, which do not know the way).
-    fn mirror_rebuild_set(&mut self, set_index: usize) {
-        if !self.mirrored() {
-            return;
-        }
-        let ways = self.config.associativity();
-        let base = set_index * ways;
-        let mut mask = 0u64;
-        for (way, tag) in self.sets[set_index].way_tags().enumerate() {
-            if let Some(tag) = tag {
-                self.mirror_tags[base + way] = tag;
-                mask |= 1 << way;
-            }
-        }
-        self.mirror_valid[set_index] = mask;
-    }
-
-    /// Probes the compact tag mirror for `tag` in `set_index`.
-    #[inline]
-    fn mirror_probe(&self, set_index: usize, tag: u64) -> Option<usize> {
-        let base = set_index * self.config.associativity();
-        let mut mask = self.mirror_valid[set_index];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            if self.mirror_tags[base + way] == tag {
-                return Some(way);
-            }
-            mask &= mask - 1;
-        }
-        None
     }
 
     /// Names the component this cache's telemetry is recorded under
@@ -195,7 +118,8 @@ impl<N: MemoryLevel> Cache<N> {
     }
 
     /// Records one data-array write for the wear map and per-bank shares.
-    #[inline]
+    /// Called only while an observer is armed.
+    #[cold]
     fn telemetry_array_write(&self, set_index: usize, bank: usize) {
         if crate::telemetry::enabled() {
             self.slot_set_writes.add_at(set_index, 1);
@@ -203,8 +127,9 @@ impl<N: MemoryLevel> Cache<N> {
         }
     }
 
-    /// Records one data/tag-array read for the per-bank shares.
-    #[inline]
+    /// Records one data/tag-array read for the per-bank shares. Called
+    /// only while an observer is armed.
+    #[cold]
     fn telemetry_array_read(&self, bank: usize) {
         if crate::telemetry::enabled() {
             self.slot_bank_reads.add_at(bank, 1);
@@ -240,8 +165,8 @@ impl<N: MemoryLevel> Cache<N> {
     /// state change, no timing).
     pub fn contains(&self, addr: Addr) -> bool {
         let line = self.line_of(addr);
-        let set = &self.sets[line.set_index(self.set_count)];
-        set.probe(line.tag(self.set_count)).is_some()
+        self.residency
+            .contains(line.set_index(self.set_count), line.tag(self.set_count))
     }
 
     /// Occupies the bank serving `addr` for `cycles` starting no earlier
@@ -275,69 +200,21 @@ impl<N: MemoryLevel> Cache<N> {
     /// against a functional oracle: a drained hierarchy may only hold
     /// lines the program actually touched.
     pub fn resident_lines(&self) -> Vec<Addr> {
-        let sets_count = self.set_count;
-        let line_bytes = self.config.line_bytes();
-        let mut lines = Vec::new();
-        for (set_index, set) in self.sets.iter().enumerate() {
-            for (tag, _) in set.iter_valid() {
-                lines.push(LineAddr::from_parts(tag, set_index, sets_count).base(line_bytes));
-            }
-        }
-        lines
+        self.residency
+            .iter_valid()
+            .map(|(set, tag, _)| {
+                LineAddr::from_parts(tag, set, self.set_count).base(self.config.line_bytes())
+            })
+            .collect()
     }
 
     /// Runs the per-set structural checks and the MSHR occupancy check,
     /// reporting through [`invariants`](crate::invariants). Called on the
     /// hot paths when the gate is on; harnesses may also call it directly.
     pub fn check_invariants(&self, now: Cycle) {
-        for (i, set) in self.sets.iter().enumerate() {
-            set.check_invariants(i, now);
-        }
-        self.check_mirror(now);
+        self.residency.check_invariants(now);
         self.mshrs.check_invariants(now);
         self.write_buffer.check_invariants(now);
-    }
-
-    /// Audits the compact tag mirror against the authoritative way state.
-    /// The fast path never runs while the invariant gate is armed, so this
-    /// catches maintenance bugs (a residency change that bypassed
-    /// [`Cache::mirror_fill`]/[`Cache::mirror_rebuild_set`]) rather than
-    /// fast-path bugs.
-    fn check_mirror(&self, now: Cycle) {
-        if !self.mirrored() {
-            return;
-        }
-        let ways = self.config.associativity();
-        for (i, set) in self.sets.iter().enumerate() {
-            let mut mask = 0u64;
-            for (way, tag) in set.way_tags().enumerate() {
-                if let Some(tag) = tag {
-                    mask |= 1 << way;
-                    if self.mirror_tags[i * ways + way] != tag {
-                        crate::invariants::report(
-                            "cache",
-                            now,
-                            None,
-                            format!(
-                                "tag mirror stale in set {i} way {way}: mirror {:#x}, set {tag:#x}",
-                                self.mirror_tags[i * ways + way]
-                            ),
-                        );
-                    }
-                }
-            }
-            if mask != self.mirror_valid[i] {
-                crate::invariants::report(
-                    "cache",
-                    now,
-                    None,
-                    format!(
-                        "valid mirror stale in set {i}: mirror {:#b}, set {mask:#b}",
-                        self.mirror_valid[i]
-                    ),
-                );
-            }
-        }
     }
 
     /// End-of-run verification of this level: reports leaked MSHR
@@ -359,10 +236,7 @@ impl<N: MemoryLevel> Cache<N> {
 
     /// Number of dirty lines currently held.
     pub fn dirty_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter_valid().filter(|&(_, d)| d).count())
-            .sum()
+        self.residency.dirty_lines()
     }
 
     /// Writes every dirty line back to the next level (power-gating /
@@ -378,12 +252,11 @@ impl<N: MemoryLevel> Cache<N> {
         let mut flushed = 0;
         let mut done = now;
         for set_index in 0..sets_count {
-            let dirty: Vec<u64> = self.sets[set_index]
-                .iter_valid()
-                .filter(|&(_, d)| d)
-                .map(|(tag, _)| tag)
-                .collect();
-            for tag in dirty {
+            let mut dirty = self.residency.dirty_mask(set_index);
+            while dirty != 0 {
+                let way = dirty.trailing_zeros() as usize;
+                dirty &= dirty - 1;
+                let tag = self.residency.tag(set_index, way);
                 let line = LineAddr::from_parts(tag, set_index, sets_count);
                 // Read the line out of the array, then write it below.
                 let bank = line.bank(self.config.banks());
@@ -392,7 +265,7 @@ impl<N: MemoryLevel> Cache<N> {
                     .next
                     .write(line.base(line_bytes), start + self.config.read_cycles());
                 done = out.complete_at;
-                self.sets[set_index].clean(tag);
+                self.residency.clean(set_index, way);
                 self.stats.writebacks += 1;
                 flushed += 1;
             }
@@ -406,9 +279,8 @@ impl<N: MemoryLevel> Cache<N> {
         let line = self.line_of(addr);
         let sets = self.set_count;
         let tag = line.tag(sets);
-        match self.sets[line.set_index(sets)].invalidate(tag) {
+        match self.residency.invalidate(line.set_index(sets), tag) {
             Some(dirty) => {
-                self.mirror_rebuild_set(line.set_index(sets));
                 if dirty {
                     self.push_writeback(line, now);
                 }
@@ -436,10 +308,21 @@ impl<N: MemoryLevel> Cache<N> {
         proceed_at
     }
 
-    /// Handles the miss path shared by reads and writes. Returns the cycle
-    /// at which the line has been delivered to this level, and who served
-    /// it.
-    fn fill_miss(&mut self, line: LineAddr, now: Cycle) -> (Cycle, ServedBy) {
+    /// Handles the miss path shared by reads and writes: `victim` is the
+    /// way [`Residency::victim`] chose right after the access missed.
+    /// Returns the cycle at which the line has been delivered to this
+    /// level, who served it, and the way it was installed in (`None` when
+    /// the miss merged into an in-flight fill, which installs nothing).
+    #[inline(never)]
+    fn fill_miss(
+        &mut self,
+        line: LineAddr,
+        set_index: usize,
+        bank: usize,
+        now: Cycle,
+        victim: usize,
+        armed: bool,
+    ) -> (Cycle, ServedBy, Option<usize>) {
         // MSHR: merge with an in-flight fill, or allocate (waiting out a
         // full file first — one wait always frees an entry because every
         // allocation is completed within this call).
@@ -448,7 +331,7 @@ impl<N: MemoryLevel> Cache<N> {
             match self.mshrs.probe_or_allocate(line, at) {
                 MshrOutcome::Merged { ready_at } => {
                     self.stats.mshr_merges += 1;
-                    return (ready_at.max(at), ServedBy::Lower);
+                    return (ready_at.max(at), ServedBy::Lower, None);
                 }
                 MshrOutcome::Allocated => break,
                 MshrOutcome::Full { retry_at } => {
@@ -461,45 +344,45 @@ impl<N: MemoryLevel> Cache<N> {
         // Tag check discovered the miss after one array read; the request
         // then goes below. The bank is busy for the tag read and again for
         // the fill write.
-        let bank = line.bank(self.config.banks());
-        let lookup_start = self.banks.reserve(bank, at, self.config.read_cycles());
-        let lookup_done = lookup_start + self.config.read_cycles();
-        self.telemetry_array_read(bank);
+        let rc = self.config.read_cycles();
+        let lookup_start = self.banks.reserve_observed(bank, at, rc, armed);
+        let lookup_done = lookup_start + rc;
+        if armed {
+            self.telemetry_array_read(bank);
+        }
 
-        let base = line.base(self.config.line_bytes());
-        let below = self.next.read(base, lookup_done);
-        let served_by = ServedBy::Lower;
+        let below = self
+            .next
+            .read(line.base(self.config.line_bytes()), lookup_done);
 
         // Victim handling: a dirty victim goes to the write buffer. A full
-        // buffer back-pressures the fill.
-        let sets = self.set_count;
-        let tag = line.tag(sets);
-        let (victim, dirty_tag) = match self.sets[line.set_index(sets)].lookup(tag) {
-            LookupResult::Miss { victim, dirty_tag } => (victim, dirty_tag),
-            // A merged fill for this line may have installed it already.
-            LookupResult::Hit(way) => {
-                self.sets[line.set_index(sets)].touch(way, below.complete_at, false);
-                self.mshrs.complete(line, below.complete_at);
-                return (below.complete_at, served_by);
-            }
-        };
+        // buffer back-pressures the fill. Nothing below can touch this
+        // cache, so the set is as the lookup left it.
+        let victim = self.residency.install_victim(set_index, victim);
         let mut fill_ready = below.complete_at;
-        if let Some(dtag) = dirty_tag {
-            let victim_line = LineAddr::from_parts(dtag, line.set_index(sets), sets);
+        if let Some(dtag) = self.residency.dirty_tag(set_index, victim) {
+            let victim_line = LineAddr::from_parts(dtag, set_index, self.set_count);
             let wb_ready = self.push_writeback(victim_line, fill_ready);
             fill_ready = fill_ready.max(wb_ready);
         }
 
         // Install the line; writing the fill occupies the bank.
         let fill_write = self.next_write_cycles();
-        self.banks.reserve(bank, fill_ready, fill_write);
-        let sets_len = self.set_count;
-        self.sets[line.set_index(sets_len)].fill(victim, tag, false, fill_ready);
-        self.mirror_fill(line.set_index(sets_len), victim, tag);
+        self.banks
+            .reserve_observed(bank, fill_ready, fill_write, armed);
+        self.residency.fill(
+            set_index,
+            victim,
+            line.tag(self.set_count),
+            false,
+            fill_ready,
+        );
         self.stats.fills += 1;
-        self.telemetry_array_write(line.set_index(sets_len), bank);
+        if armed {
+            self.telemetry_array_write(set_index, bank);
+        }
         self.mshrs.complete(line, fill_ready);
-        (fill_ready, served_by)
+        (fill_ready, ServedBy::Lower, Some(victim))
     }
 
     /// Serves a read whose address decomposition was computed ahead of
@@ -524,89 +407,24 @@ impl<N: MemoryLevel> Cache<N> {
         self.write_at(d.addr, d.line, d.set_index, d.bank, now)
     }
 
-    /// The resident-hit fast path for reads: answers from the compact tag
-    /// mirror without scanning the MSHR file or probing the gated
-    /// observers. Byte-identical to the general path because it performs
-    /// the same mutations in the same order (stats, bank schedule,
-    /// replacement touch) and bails — returning `None` — in every
-    /// situation where the general path would do anything more:
-    ///
-    /// * a fill is still in flight anywhere in this cache (the general
-    ///   hit path consults [`MshrFile::ready_time`]);
-    /// * the telemetry or invariant gate is armed (the general path
-    ///   records observations / runs checks) — checked as one combined
-    ///   atomic load through the `gates` cache;
-    /// * the mirror misses (the access is a miss, or the mirror is
-    ///   disabled for this geometry).
+    /// When a hit on `line` at `now` can read the array: at once, unless
+    /// the line's own fill is still in flight. `fills_pending` rules out
+    /// every in-flight fill with one compare, so the MSHR scan runs only
+    /// while some fill is outstanding.
     #[inline]
-    fn try_read_hit_fast(
-        &mut self,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> Option<AccessOutcome> {
-        if !self.mirrored() || self.mshrs.fills_pending(now) || crate::gates::any_observer_armed() {
-            return None;
+    fn hit_ready(&self, line: LineAddr, now: Cycle) -> Cycle {
+        if self.mshrs.fills_pending(now) {
+            self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now))
+        } else {
+            now
         }
-        let tag = line.tag(self.set_count);
-        let way = self.mirror_probe(set_index, tag)?;
-        debug_assert_eq!(self.sets[set_index].probe(tag), Some(way));
-        self.stats.reads += 1;
-        self.stats.read_hits += 1;
-        let start = self
-            .banks
-            .reserve_quiet(bank, now, self.config.read_cycles());
-        self.sets[set_index].touch(way, start, false);
-        // The full sync (not an incremental `start - now` bump) is
-        // load-bearing: stage wrappers advance the bank tally between
-        // accesses through `occupy_bank`, and the sync is what folds
-        // those contributions into the report.
-        self.sync_component_stats();
-        Some(AccessOutcome {
-            complete_at: start + self.config.read_cycles(),
-            served_by: ServedBy::ThisLevel,
-        })
-    }
-
-    /// [`Cache::try_read_hit_fast`] for write-back write hits. Also bails
-    /// on write-through configurations (those touch the next level even on
-    /// a hit). The AWARE slow-write cadence is preserved: the fast path
-    /// advances the same `array_writes` counter through
-    /// [`Cache::next_write_cycles`].
-    #[inline]
-    fn try_write_hit_fast(
-        &mut self,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> Option<AccessOutcome> {
-        if !self.mirrored()
-            || !matches!(self.config.write_policy(), WritePolicy::WriteBack)
-            || self.mshrs.fills_pending(now)
-            || crate::gates::any_observer_armed()
-        {
-            return None;
-        }
-        let tag = line.tag(self.set_count);
-        let way = self.mirror_probe(set_index, tag)?;
-        debug_assert_eq!(self.sets[set_index].probe(tag), Some(way));
-        self.stats.writes += 1;
-        self.stats.write_hits += 1;
-        let wc = self.next_write_cycles();
-        let start = self.banks.reserve_quiet(bank, now, wc);
-        self.sets[set_index].touch(way, start, true);
-        self.sync_component_stats();
-        Some(AccessOutcome {
-            complete_at: start + wc,
-            served_by: ServedBy::ThisLevel,
-        })
     }
 
     /// Shared body of [`MemoryLevel::read`] and [`Cache::read_decoded`]:
     /// `line`, `set_index` and `bank` must be `addr`'s decomposition under
-    /// this cache's geometry.
+    /// this cache's geometry. One scan of the set finds the hit; a miss
+    /// takes its victim from the same set state without scanning again.
+    /// Armed observers run the same path.
     #[inline]
     fn read_at(
         &mut self,
@@ -616,55 +434,46 @@ impl<N: MemoryLevel> Cache<N> {
         bank: usize,
         now: Cycle,
     ) -> AccessOutcome {
-        if let Some(out) = self.try_read_hit_fast(line, set_index, bank, now) {
-            return out;
-        }
-        self.read_at_general(addr, line, set_index, bank, now)
+        let armed = crate::gates::any_observer_armed();
+        self.stats.reads += 1;
+        let outcome = match self.residency.find(set_index, line.tag(self.set_count)) {
+            Some(way) => {
+                self.stats.read_hits += 1;
+                let avail = self.hit_ready(line, now);
+                let rc = self.config.read_cycles();
+                let start = self.banks.reserve_observed(bank, avail, rc, armed);
+                if armed {
+                    self.telemetry_array_read(bank);
+                }
+                self.residency.touch(set_index, way, start, false);
+                AccessOutcome {
+                    complete_at: start + rc,
+                    served_by: ServedBy::ThisLevel,
+                }
+            }
+            None => self.read_miss(line, set_index, bank, now, armed),
+        };
+        self.finish_access(addr, now, outcome, armed)
     }
 
-    /// The full read path (misses, in-flight fills, armed gates). The fast
-    /// path falls through to this; the lane-equivalence tests drive it
-    /// directly as the referee.
-    fn read_at_general(
+    /// The read miss path, out of line so the hit path stays small.
+    #[inline(never)]
+    fn read_miss(
         &mut self,
-        addr: Addr,
         line: LineAddr,
         set_index: usize,
         bank: usize,
         now: Cycle,
+        armed: bool,
     ) -> AccessOutcome {
-        self.stats.reads += 1;
-        let tag = line.tag(self.set_count);
-
-        let lookup = self.sets[set_index].lookup(tag);
-        let outcome = match lookup {
-            LookupResult::Hit(way) => {
-                self.stats.read_hits += 1;
-                // Data of an in-flight fill may not have arrived yet.
-                let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
-                let start = self.banks.reserve(bank, avail, self.config.read_cycles());
-                self.telemetry_array_read(bank);
-                self.sets[set_index].touch(way, start, false);
-                AccessOutcome {
-                    complete_at: start + self.config.read_cycles(),
-                    served_by: ServedBy::ThisLevel,
-                }
-            }
-            LookupResult::Miss { .. } => {
-                let (ready, served_by) = self.fill_miss(line, now);
-                // The critical word is forwarded to the requester as the
-                // fill arrives; no second array read is charged.
-                AccessOutcome {
-                    complete_at: ready,
-                    served_by,
-                }
-            }
-        };
-        self.sync_component_stats();
-        if crate::invariants::enabled() {
-            self.check_access(addr, now, outcome.complete_at);
+        let victim = self.residency.victim(set_index);
+        let (ready, served_by, _) = self.fill_miss(line, set_index, bank, now, victim, armed);
+        // The critical word is forwarded to the requester as the fill
+        // arrives; no second array read is charged.
+        AccessOutcome {
+            complete_at: ready,
+            served_by,
         }
-        outcome
     }
 
     /// Shared body of [`MemoryLevel::write`] and [`Cache::write_decoded`].
@@ -677,85 +486,36 @@ impl<N: MemoryLevel> Cache<N> {
         bank: usize,
         now: Cycle,
     ) -> AccessOutcome {
-        if let Some(out) = self.try_write_hit_fast(line, set_index, bank, now) {
-            return out;
-        }
-        self.write_at_general(addr, line, set_index, bank, now)
-    }
-
-    /// The full write path; see [`Cache::read_at_general`].
-    fn write_at_general(
-        &mut self,
-        addr: Addr,
-        line: LineAddr,
-        set_index: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> AccessOutcome {
+        let armed = crate::gates::any_observer_armed();
         self.stats.writes += 1;
-        let sets = self.set_count;
-        let tag = line.tag(sets);
-
-        let lookup = self.sets[set_index].lookup(tag);
-        let outcome = match (lookup, self.config.write_policy()) {
-            (LookupResult::Hit(way), WritePolicy::WriteBack) => {
+        let tag = line.tag(self.set_count);
+        let outcome = match (
+            self.residency.find(set_index, tag),
+            self.config.write_policy(),
+        ) {
+            (Some(way), WritePolicy::WriteBack) => {
                 self.stats.write_hits += 1;
-                let avail = self.mshrs.ready_time(line, now).map_or(now, |r| r.max(now));
-                let wc = self.next_write_cycles();
-                let start = self.banks.reserve(bank, avail, wc);
-                self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, true);
-                AccessOutcome {
-                    complete_at: start + wc,
-                    served_by: ServedBy::ThisLevel,
-                }
+                let avail = self.hit_ready(line, now);
+                self.write_hit(set_index, way, bank, avail, ServedBy::ThisLevel, armed)
             }
-            (LookupResult::Hit(way), WritePolicy::WriteThrough) => {
+            (Some(way), WritePolicy::WriteThrough) => {
                 self.stats.write_hits += 1;
-                let start = self.banks.reserve(bank, now, self.config.write_cycles());
-                self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, false);
+                let wc = self.config.write_cycles();
+                let start = self.banks.reserve_observed(bank, now, wc, armed);
+                if armed {
+                    self.telemetry_array_write(set_index, bank);
+                }
+                self.residency.touch(set_index, way, start, false);
                 let below = self.next.write(line.base(self.config.line_bytes()), start);
                 AccessOutcome {
                     complete_at: below.complete_at,
                     served_by: ServedBy::ThisLevel,
                 }
             }
-            (LookupResult::Miss { .. }, WritePolicy::WriteBack) => {
-                // Write-allocate: fetch the line, then perform the write hit
-                // ("the data in the cache location is loaded in the block
-                // from the L2/main memory and this is followed by the write
-                // hit operation", §IV).
-                let (mut ready, served_by) = self.fill_miss(line, now);
-                // A merged fill can complete without the line resident:
-                // fills install eagerly at a future timestamp, so later
-                // same-set misses in program order may already have
-                // evicted the line this request merged into. Physically
-                // the merged requester arrives after that eviction and
-                // has to re-fetch the line like any fresh miss. The
-                // retry makes progress: a merge always returns a ready
-                // time strictly past the probe time, and once the probe
-                // reaches it the stale entry is reclaimed and the fill
-                // installs the line.
-                let way = loop {
-                    match self.sets[set_index].lookup(tag) {
-                        LookupResult::Hit(way) => break way,
-                        LookupResult::Miss { .. } => {
-                            let (r, _) = self.fill_miss(line, ready);
-                            ready = r;
-                        }
-                    }
-                };
-                let wc = self.next_write_cycles();
-                let start = self.banks.reserve(bank, ready, wc);
-                self.telemetry_array_write(set_index, bank);
-                self.sets[set_index].touch(way, start, true);
-                AccessOutcome {
-                    complete_at: start + wc,
-                    served_by,
-                }
+            (None, WritePolicy::WriteBack) => {
+                self.write_allocate(line, set_index, bank, now, armed)
             }
-            (LookupResult::Miss { .. }, WritePolicy::WriteThrough) => {
+            (None, WritePolicy::WriteThrough) => {
                 // No-allocate: the write goes straight below.
                 let below = self.next.write(line.base(self.config.line_bytes()), now);
                 AccessOutcome {
@@ -764,8 +524,91 @@ impl<N: MemoryLevel> Cache<N> {
                 }
             }
         };
+        self.finish_access(addr, now, outcome, armed)
+    }
+
+    /// The write-back miss path (write-allocate), out of line so the hit
+    /// path stays small.
+    #[inline(never)]
+    fn write_allocate(
+        &mut self,
+        line: LineAddr,
+        set_index: usize,
+        bank: usize,
+        now: Cycle,
+        armed: bool,
+    ) -> AccessOutcome {
+        // Write-allocate: fetch the line, then perform the write hit ("the
+        // data in the cache location is loaded in the block from the
+        // L2/main memory and this is followed by the write hit operation",
+        // §IV).
+        let victim = self.residency.victim(set_index);
+        let (mut ready, served_by, mut way) =
+            self.fill_miss(line, set_index, bank, now, victim, armed);
+        // A merged fill installs nothing, and the line is absent: fills
+        // install eagerly at a future timestamp, so later same-set misses
+        // in program order already evicted the line this request merged
+        // into. Physically the merged requester arrives after that
+        // eviction and has to re-fetch the line like any fresh miss. The
+        // retry makes progress: a merge always returns a ready time
+        // strictly past the probe time, and once the probe reaches it the
+        // stale entry is reclaimed and the fill installs the line.
+        let way = loop {
+            if let Some(way) = way {
+                break way;
+            }
+            match self.residency.find(set_index, line.tag(self.set_count)) {
+                Some(hit) => way = Some(hit),
+                None => {
+                    let victim = self.residency.victim(set_index);
+                    (ready, _, way) = self.fill_miss(line, set_index, bank, ready, victim, armed);
+                }
+            }
+        };
+        self.write_hit(set_index, way, bank, ready, served_by, armed)
+    }
+
+    /// Writes into resident `way` of `set_index` once the array is free
+    /// after `avail`, dirtying the line. `armed` is the access's read of
+    /// the combined observer gate.
+    #[inline]
+    fn write_hit(
+        &mut self,
+        set_index: usize,
+        way: usize,
+        bank: usize,
+        avail: Cycle,
+        served_by: ServedBy,
+        armed: bool,
+    ) -> AccessOutcome {
+        let wc = self.next_write_cycles();
+        let start = self.banks.reserve_observed(bank, avail, wc, armed);
+        if armed {
+            self.telemetry_array_write(set_index, bank);
+        }
+        self.residency.touch(set_index, way, start, true);
+        AccessOutcome {
+            complete_at: start + wc,
+            served_by,
+        }
+    }
+
+    /// Common tail of every access: fold the component counters into the
+    /// statistics block and, when the invariant gate is armed, audit.
+    /// `armed` is the access's one read of the combined observer gate.
+    #[inline]
+    fn finish_access(
+        &mut self,
+        addr: Addr,
+        now: Cycle,
+        outcome: AccessOutcome,
+        armed: bool,
+    ) -> AccessOutcome {
+        // The full sync (not an incremental bump) is load-bearing: stage
+        // wrappers advance the bank tally between accesses through
+        // `occupy_bank`, and the sync folds those into the report.
         self.sync_component_stats();
-        if crate::invariants::enabled() {
+        if armed && crate::invariants::enabled() {
             self.check_access(addr, now, outcome.complete_at);
         }
         outcome
@@ -780,6 +623,7 @@ impl<N: MemoryLevel> Cache<N> {
     /// set must be structurally valid, every MSHR allocation made during
     /// the access must have been completed before it returned, and time
     /// must not run backwards.
+    #[cold]
     fn check_access(&self, addr: Addr, now: Cycle, complete_at: Cycle) {
         if complete_at < now {
             crate::invariants::report(
@@ -791,7 +635,7 @@ impl<N: MemoryLevel> Cache<N> {
         }
         let line = self.line_of(addr);
         let set_index = line.set_index(self.set_count);
-        self.sets[set_index].check_invariants(set_index, complete_at);
+        self.residency.check_set(set_index, complete_at);
         if self.mshrs.unfinished_allocations() > 0 {
             crate::invariants::report(
                 "mshr",
@@ -1177,19 +1021,12 @@ mod tests {
         assert_eq!(plain.dirty_lines(), decoded.dirty_lines());
     }
 
-    #[test]
-    fn hit_fast_path_matches_general_path() {
-        // Drive one cache through the public entry points (fast path
-        // eligible) and a twin through the general bodies only; every
-        // outcome, the stats block and the dirty set must agree.
-        let mut fast = dl1();
-        let mut slow = dl1();
-        let sets = fast.config().sets();
-        let banks = fast.config().banks();
-        let lb = fast.config().line_bytes();
-        let stride = (sets * lb) as u64;
-        // Misses, hits, same-set conflict evictions, same-bank conflicts,
-        // an adversarial tag, and re-reads during fill shadows.
+    /// Runs a fixed stream of misses, hits, same-set evictions, same-bank
+    /// conflicts, an adversarial tag and re-reads during fill shadows,
+    /// returning every outcome.
+    fn mixed_stream(c: &mut Cache<MainMemory>) -> Vec<AccessOutcome> {
+        let lb = c.config().line_bytes() as u64;
+        let stride = c.config().sets() as u64 * lb;
         let addrs = [
             0u64,
             0,
@@ -1199,81 +1036,104 @@ mod tests {
             stride,
             2 * stride,
             0,
-            4 * lb as u64,
-            4 * lb as u64,
+            4 * lb,
+            4 * lb,
             u64::MAX,
             u64::MAX,
             0,
         ];
         let mut t = 0;
+        let mut outs = Vec::new();
         for (i, &raw) in addrs.iter().enumerate() {
-            let a = Addr(raw);
-            let line = a.line(lb);
-            let (si, bk) = (line.set_index(sets), line.bank(banks));
-            let (f, s) = if i % 3 == 2 {
-                (fast.write(a, t), slow.write_at_general(a, line, si, bk, t))
+            let out = if i % 3 == 2 {
+                c.write(Addr(raw), t)
             } else {
-                (fast.read(a, t), slow.read_at_general(a, line, si, bk, t))
+                c.read(Addr(raw), t)
             };
-            assert_eq!(f, s, "fast path diverged at access {i} ({a})");
+            outs.push(out);
             // Alternate between back-to-back issue (fill shadows, bank
-            // conflicts) and drained issue (fast-path hits).
+            // conflicts) and drained issue.
             t = if i % 2 == 0 {
-                f.complete_at + 20
+                out.complete_at + 20
             } else {
                 t + 1
             };
         }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.dirty_lines(), slow.dirty_lines());
+        outs
+    }
+
+    #[test]
+    fn armed_observers_take_the_same_hit_path() {
+        // Invariant-armed runs execute the one hit path: same outcomes,
+        // same statistics (hits included) and no violations.
+        let mut quiet = dl1();
+        let expected = mixed_stream(&mut quiet);
+        assert!(quiet.stats().read_hits > 0 && quiet.stats().write_hits > 0);
+        crate::invariants::take_violations();
+        crate::invariants::set_enabled(true);
+        let mut armed = dl1();
+        let got = mixed_stream(&mut armed);
+        crate::invariants::set_enabled(false);
+        assert_eq!(got, expected);
+        assert_eq!(armed.stats(), quiet.stats());
+        assert_eq!(armed.dirty_lines(), quiet.dirty_lines());
+        assert_eq!(crate::invariants::take_violations().1, 0);
     }
 
     #[test]
     fn fast_path_preserves_aware_cadence() {
         use crate::config::AsymmetricWrite;
-        let cfg = || {
+        let mut c = Cache::new(
             CacheConfig::builder()
                 .asymmetric_write(AsymmetricWrite {
                     slow_cycles: 6,
-                    slow_period: 2,
+                    slow_period: 3,
                 })
                 .build()
-                .unwrap()
-        };
-        let mut fast = Cache::new(cfg(), MainMemory::new(100));
-        let mut slow = Cache::new(cfg(), MainMemory::new(100));
-        let sets = fast.config().sets();
-        let banks = fast.config().banks();
-        let lb = fast.config().line_bytes();
-        let mut t = 0;
+                .unwrap(),
+            MainMemory::new(100),
+        );
+        // Two fills (array writes 1 and 2), then write hits on drained
+        // banks: the slow-write cadence counts fills and hits alike, so
+        // every third array write (3, 6, ...) is slow.
+        let mut t = c.read(Addr(0), 0).complete_at;
+        t = c.read(Addr(64), t).complete_at + 20;
+        let mut latencies = Vec::new();
         for i in 0..6u64 {
-            // Write-hit the same line repeatedly: the slow-write cadence is
-            // global array-write count, so fast and general paths must
-            // advance it identically.
-            let a = Addr((i % 2) * 64);
-            let line = a.line(lb);
-            let f = fast.write(a, t);
-            let s = slow.write_at_general(a, line, line.set_index(sets), line.bank(banks), t);
-            assert_eq!(f, s, "cadence diverged at write {i}");
-            t = f.complete_at + 20;
+            let out = c.write(Addr((i % 2) * 64), t);
+            assert_eq!(out.served_by, ServedBy::ThisLevel);
+            latencies.push(out.complete_at - t);
+            t = out.complete_at + 20;
         }
-        assert_eq!(fast.stats(), slow.stats());
+        assert_eq!(latencies, [6, 2, 2, 6, 2, 2]);
     }
 
     #[test]
-    fn mirror_survives_invalidation() {
+    fn invalidated_line_misses_and_its_neighbour_still_hits() {
         let mut c = dl1();
         c.write(Addr(0), 0);
         let t = c.read(Addr(64), 300).complete_at + 20;
         assert!(c.invalidate(Addr(0), t));
-        // The invalidated line must miss — a stale mirror entry would let
-        // the fast path "hit" it.
+        // The invalidated line must miss.
         let out = c.read(Addr(0), t + 10);
         assert_eq!(out.served_by, ServedBy::Lower);
-        // The surviving line still fast-hits.
+        // The surviving line still hits at the read latency.
         let out2 = c.read(Addr(64), out.complete_at + 20);
         assert_eq!(out2.served_by, ServedBy::ThisLevel);
         assert_eq!(out2.complete_at, out.complete_at + 20 + 4);
+    }
+
+    #[test]
+    fn hits_under_an_outstanding_fill_of_another_line_wait_only_for_the_bank() {
+        // While line 64's fill is in flight, a hit on resident line 0
+        // consults the MSHR file but must not wait for the other fill.
+        let mut c = dl1();
+        let t = c.read(Addr(0), 0).complete_at + 20;
+        let miss = c.read(Addr(64), t);
+        assert!(miss.complete_at > t + 50);
+        let hit = c.read(Addr(0), t + 1);
+        assert_eq!(hit.served_by, ServedBy::ThisLevel);
+        assert_eq!(hit.complete_at, t + 1 + 4);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Set associativity (ways).
+    /// Set associativity (ways), at most [`CacheConfig::MAX_WAYS`].
     pub fn associativity(&mut self, v: usize) -> &mut Self {
         self.associativity = v;
         self
@@ -209,7 +209,9 @@ impl CacheConfigBuilder {
             return Err(MemError::InvalidLineBytes(b.line_bytes));
         }
         let lines = b.capacity_bytes / b.line_bytes;
-        if b.associativity == 0 || b.associativity > lines || !lines.is_multiple_of(b.associativity)
+        if b.associativity == 0
+            || b.associativity > lines.min(CacheConfig::MAX_WAYS)
+            || !lines.is_multiple_of(b.associativity)
         {
             return Err(MemError::InvalidAssociativity(b.associativity));
         }
@@ -263,6 +265,10 @@ impl CacheConfigBuilder {
 }
 
 impl CacheConfig {
+    /// Widest supported associativity: a set keeps one valid and one
+    /// dirty bit per way in a `u64` mask.
+    pub const MAX_WAYS: usize = 64;
+
     /// Starts a builder with the paper's STT-MRAM DL1 defaults.
     pub fn builder() -> CacheConfigBuilder {
         CacheConfigBuilder::default()
@@ -383,6 +389,11 @@ mod tests {
         assert!(CacheConfig::builder().line_bytes(0).build().is_err());
         assert!(CacheConfig::builder().line_bytes(48).build().is_err());
         assert!(CacheConfig::builder().associativity(0).build().is_err());
+        assert!(CacheConfig::builder()
+            .capacity_bytes(1 << 20)
+            .associativity(128)
+            .build()
+            .is_err());
         assert!(CacheConfig::builder().banks(3).build().is_err());
         assert!(CacheConfig::builder().read_cycles(0).build().is_err());
         assert!(CacheConfig::builder().write_cycles(0).build().is_err());

@@ -11,7 +11,8 @@ pub enum MemError {
     InvalidCapacity(usize),
     /// Line size is zero, not a power of two, or exceeds the capacity.
     InvalidLineBytes(usize),
-    /// Associativity is zero or exceeds the line count.
+    /// Associativity is zero, exceeds the line count or exceeds
+    /// [`CacheConfig::MAX_WAYS`](crate::CacheConfig::MAX_WAYS).
     InvalidAssociativity(usize),
     /// Bank count is zero or not a power of two.
     InvalidBanks(usize),

@@ -1,11 +1,13 @@
-//! Combined observer-armed gate for the resident-hit fast paths.
+//! Combined observer-armed gate for the cache access paths.
 //!
-//! The fast paths in [`Cache`] must bail whenever *either* the telemetry
-//! gate or the invariant gate is armed. Checking both per access costs
-//! two atomic loads and two branches; since each source gate changes
-//! only through its `set_enabled` function or its one-time environment
-//! read, their disjunction is cached here as a third tri-state atomic
-//! and the steady-state check is a single relaxed load.
+//! A cache access has telemetry observers (bank and array tallies) and
+//! invariant observers (bank, set and MSHR audits). Checking both gates
+//! at every site costs several atomic loads and branches per access;
+//! since each source gate changes only through its `set_enabled`
+//! function or its one-time environment read, their disjunction is
+//! cached here as a third tri-state atomic. A [`Cache`] access reads it
+//! once, with a single relaxed load, and runs its observers only when it
+//! is set; a stand-alone bank reservation reads it once too.
 //!
 //! [`Cache`]: crate::Cache
 

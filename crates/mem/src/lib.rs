@@ -68,7 +68,7 @@ pub use mshr::{MshrFile, MshrOutcome};
 pub use oracle::ShadowOracle;
 pub use prefetcher::{NextLinePrefetcher, PrefetcherStats};
 pub use replacement::ReplacementPolicy;
-pub use set::{CacheSet, LookupResult, Way};
+pub use set::Residency;
 pub use shared::Shared;
 pub use stats::CacheStats;
 pub use telemetry::TelemetrySnapshot;

@@ -49,128 +49,108 @@ impl std::fmt::Display for ReplacementPolicy {
     }
 }
 
-/// Per-set replacement state (PLRU tree bits and the random stream).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplacementState {
-    policy: ReplacementPolicy,
-    /// Tree-PLRU node bits (node 1 is the root, children of `n` are `2n`
-    /// and `2n+1`; a set bit means "the hot path went right").
-    plru_bits: u64,
-    /// Xorshift state for the random policy.
-    rng: u64,
+/// Whether `policy` keeps tree-PLRU node bits for a `ways`-way set.
+/// Tree-PLRU falls back to true LRU for non-power-of-two way counts (and
+/// for one way, where there is no tree).
+pub(crate) fn uses_tree(policy: ReplacementPolicy, ways: usize) -> bool {
+    policy == ReplacementPolicy::TreePlru && ways.is_power_of_two() && ways > 1
 }
 
-impl ReplacementState {
-    pub fn new(policy: ReplacementPolicy, seed: u64) -> Self {
-        // Golden-ratio mix so adjacent set indices get distinct streams.
-        let rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        ReplacementState {
-            policy,
-            plru_bits: 0,
-            rng,
+/// Records a touch of `way` (hit or fill) in a set's tree-PLRU node bits.
+/// Node 1 is the root, the children of `n` are `2n` and `2n+1`, and a set
+/// bit means "the hot path went left, so the victim is on the right".
+pub(crate) fn tree_touch(bits: &mut u64, way: usize, ways: usize) {
+    // Flip the path bits so they point *away* from `way`.
+    let levels = ways.trailing_zeros();
+    let mut node = 1usize;
+    for level in (0..levels).rev() {
+        let went_right = (way >> level) & 1 == 1;
+        if went_right {
+            *bits &= !(1 << node);
+        } else {
+            *bits |= 1 << node;
         }
-    }
-
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Records a touch of `way` (hit or fill) for policies with access
-    /// state.
-    pub fn touch(&mut self, way: usize, ways: usize) {
-        if self.policy == ReplacementPolicy::TreePlru && ways.is_power_of_two() && ways > 1 {
-            // Flip the path bits so they point *away* from `way`.
-            let levels = ways.trailing_zeros();
-            let mut node = 1usize;
-            for level in (0..levels).rev() {
-                let went_right = (way >> level) & 1 == 1;
-                if went_right {
-                    self.plru_bits &= !(1 << node); // remember: hot is right => point left
-                } else {
-                    self.plru_bits |= 1 << node;
-                }
-                node = node * 2 + usize::from(went_right);
-            }
-        }
-    }
-
-    /// Picks a victim among `ways` ways using the per-way `(last_use,
-    /// inserted_at)` metadata provided by the set.
-    pub fn victim(&mut self, meta: &[(u64, u64)]) -> usize {
-        let ways = meta.len();
-        match self.policy {
-            ReplacementPolicy::Lru => index_of_min(meta.iter().map(|&(last_use, _)| last_use)),
-            ReplacementPolicy::Fifo => index_of_min(meta.iter().map(|&(_, inserted)| inserted)),
-            ReplacementPolicy::TreePlru if ways.is_power_of_two() && ways > 1 => {
-                let levels = ways.trailing_zeros();
-                let mut node = 1usize;
-                let mut way = 0usize;
-                for _ in 0..levels {
-                    let bit = (self.plru_bits >> node) & 1;
-                    way = (way << 1) | bit as usize;
-                    node = node * 2 + bit as usize;
-                }
-                way
-            }
-            ReplacementPolicy::TreePlru => index_of_min(meta.iter().map(|&(last_use, _)| last_use)),
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                self.rng ^= self.rng >> 12;
-                self.rng ^= self.rng << 25;
-                self.rng ^= self.rng >> 27;
-                (self.rng.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % ways
-            }
-        }
+        node = node * 2 + usize::from(went_right);
     }
 }
 
-fn index_of_min(values: impl Iterator<Item = u64>) -> usize {
-    let mut best = (u64::MAX, 0usize);
-    for (i, v) in values.enumerate() {
-        if v < best.0 {
-            best = (v, i);
-        }
+/// The way a set's tree-PLRU node bits point at.
+pub(crate) fn tree_victim(bits: u64, ways: usize) -> usize {
+    let mut node = 1usize;
+    let mut way = 0usize;
+    for _ in 0..ways.trailing_zeros() {
+        let bit = ((bits >> node) & 1) as usize;
+        way = (way << 1) | bit;
+        node = node * 2 + bit;
     }
-    best.1
+    way
+}
+
+/// The random policy's initial stream state for a set seeded with `seed`
+/// (the set index plus one). The golden-ratio mix gives adjacent sets
+/// distinct streams.
+pub(crate) fn random_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+}
+
+/// Advances a set's xorshift64* stream and draws a way out of `ways`.
+pub(crate) fn random_draw(state: &mut u64, ways: usize) -> usize {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    (state.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % ways
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set::Residency;
+
+    /// The victim a one-set cache of `ways` ways picks for a fresh tag
+    /// after way `i` was filled at `inserted[i]` and last used at
+    /// `used[i]`.
+    fn victim(policy: ReplacementPolicy, inserted: &[u64], used: &[u64]) -> usize {
+        let mut set = Residency::new(1, inserted.len(), policy);
+        for (way, (&ins, &use_at)) in inserted.iter().zip(used).enumerate() {
+            set.fill(0, way, way as u64 + 10, false, ins);
+            set.touch(0, way, use_at, false);
+        }
+        assert_eq!(set.find(0, 99), None);
+        set.victim(0)
+    }
 
     #[test]
     fn lru_picks_the_oldest_use() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Lru, 1);
-        assert_eq!(st.victim(&[(5, 0), (2, 1), (9, 2)]), 1);
+        assert_eq!(victim(ReplacementPolicy::Lru, &[0, 1, 2], &[5, 2, 9]), 1);
     }
 
     #[test]
     fn fifo_picks_the_oldest_insert_regardless_of_use() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Fifo, 1);
-        assert_eq!(st.victim(&[(100, 3), (200, 1), (1, 2)]), 1);
+        assert_eq!(
+            victim(ReplacementPolicy::Fifo, &[3, 1, 2], &[100, 200, 150]),
+            1
+        );
     }
 
     #[test]
     fn plru_avoids_the_most_recent_way() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        let meta = [(0u64, 0u64); 4];
+        let mut bits = 0;
         for _ in 0..16 {
-            let v = st.victim(&meta);
-            st.touch(v, 4);
+            let v = tree_victim(bits, 4);
+            tree_touch(&mut bits, v, 4);
             // Immediately after touching v it is never the next victim.
-            assert_ne!(st.victim(&meta), v);
+            assert_ne!(tree_victim(bits, 4), v);
         }
     }
 
     #[test]
     fn plru_cycles_through_all_ways() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        let meta = [(0u64, 0u64); 4];
+        let mut bits = 0;
         let mut seen = [false; 4];
         for _ in 0..8 {
-            let v = st.victim(&meta);
+            let v = tree_victim(bits, 4);
             seen[v] = true;
-            st.touch(v, 4);
+            tree_touch(&mut bits, v, 4);
         }
         assert!(seen.iter().all(|&s| s), "{seen:?}");
     }
@@ -178,8 +158,8 @@ mod tests {
     #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
         let sequence = |seed: u64| -> Vec<usize> {
-            let mut st = ReplacementState::new(ReplacementPolicy::Random, seed);
-            (0..32).map(|_| st.victim(&[(0, 0); 8])).collect()
+            let mut st = random_seed(seed);
+            (0..32).map(|_| random_draw(&mut st, 8)).collect()
         };
         let a = sequence(42);
         assert_eq!(a, sequence(42));
@@ -191,8 +171,11 @@ mod tests {
 
     #[test]
     fn plru_non_power_of_two_falls_back_to_lru() {
-        let mut st = ReplacementState::new(ReplacementPolicy::TreePlru, 1);
-        assert_eq!(st.victim(&[(5, 0), (2, 0), (9, 0)]), 1);
+        assert!(!uses_tree(ReplacementPolicy::TreePlru, 3));
+        assert_eq!(
+            victim(ReplacementPolicy::TreePlru, &[0, 0, 0], &[5, 2, 9]),
+            1
+        );
     }
 
     #[test]

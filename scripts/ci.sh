@@ -114,9 +114,28 @@ scripts/bench_snapshot.sh "$snapshot" > /dev/null
 grep -q '"trace_cache_enabled": true' "$snapshot"
 grep -q '"disarmed_overhead_pct"' "$snapshot"
 
+# The benchmark's correctness digests as a gate: its self-tests, then a
+# short run of every workload, where each result line must report
+# "failed": 0 against the committed sttbench/reference/*.txt. The
+# benchmark refuses to run with any STTCACHE_* variable set, so those are
+# cleared for this leg only.
+cargo test -q --offline --manifest-path sttbench/Cargo.toml
+bench_out="$(mktemp)"
+trap 'rm -f "$smoke" "$ttrace" "$mc" "$snapshot" "$bench_out"' EXIT
+env $(env | sed -n 's/^\(STTCACHE_[A-Za-z0-9_]*\)=.*/-u \1/p') \
+    cargo run --quiet --release --offline --manifest-path sttbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 5 --trace 0 > "$bench_out"
+results="$(grep -c '^{' "$bench_out" || true)"
+passed="$(grep '^{' "$bench_out" | grep -c '"failed": 0,' || true)"
+if [ "$results" -eq 0 ] || [ "$passed" -ne "$results" ]; then
+    echo "ci: benchmark digests: $passed of $results result lines report no failures" >&2
+    grep '^{' "$bench_out" >&2
+    exit 1
+fi
+
 # Bench regression gate against the committed snapshot. Failing is the
 # default; set STTCACHE_BENCH_GATE=warn on runners whose wall-clock is
 # too noisy to enforce a 25 % bound.
 STTCACHE_BENCH_GATE="${STTCACHE_BENCH_GATE:-fail}" scripts/bench_gate.sh
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + compiled + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks and bench gate all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + compiled + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks, benchmark digests and bench gate all green"
