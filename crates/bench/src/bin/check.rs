@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sttcache-check [--quick] [--seed N] [--cases N] [--events N]
-//!                [--kind NAME|compiled|lane|multicore|irregular] [--shrink] [--list-kinds]
+//!                [--kind NAME|lane|multicore|irregular] [--shrink] [--list-kinds]
 //! ```
 //!
 //! Every generated trace runs on every catalog L1 D-cache organization with
@@ -18,14 +18,11 @@
 //! replay; `--shrink` additionally minimizes the first failing trace and
 //! prints the surviving events. Exit status 1 on any failure.
 //!
-//! `--kind compiled` switches the check itself: every adversary family
-//! still generates traces, but each one is cross-checked through the
-//! compiled structure-of-arrays replay pass (validate, decompile round
-//! trip, bit-identity with interpreted replay on every organization)
-//! instead of the shadow-oracle differential. `--kind lane` likewise
-//! switches the check: every trace replays through the monomorphic
+//! `--kind lane` switches the check itself: every adversary family still
+//! generates traces, but each one replays through the monomorphic
 //! data-path lanes and through the generic dynamic-dispatch referee
-//! (interpreted and compiled), and the results must be bit-identical.
+//! instead of the shadow-oracle differential, and the results must be
+//! bit-identical.
 //! `--kind multicore` derives a random 2–4 core mix per case (per-core
 //! adversarial traces, organizations and phase offsets) and cross-checks
 //! the co-scheduled run against per-core isolated runs, the per-core
@@ -34,8 +31,8 @@
 //! events. `--kind irregular` swaps the adversarial generators for the
 //! workload catalog's irregular pointer-chasing family: each case
 //! derives a kernel/transform pick from the seed, records the kernel's
-//! deterministic trace and runs it through the oracle differential, the
-//! compiled cross-check and the lane cross-check combined.
+//! deterministic trace and runs it through the oracle differential and
+//! the lane cross-check combined.
 
 use sttcache_bench::check::{self, Adversary};
 
@@ -44,8 +41,6 @@ use sttcache_bench::check::{self, Adversary};
 enum Mode {
     /// Shadow-oracle differential against the SRAM baseline.
     Oracle,
-    /// Compiled structure-of-arrays replay vs interpreted replay.
-    Compiled,
     /// Monomorphic replay lanes vs the generic dispatch referee.
     Lane,
     /// Co-scheduled multi-core mixes vs per-core isolated runs.
@@ -58,7 +53,6 @@ impl Mode {
     fn tag(self) -> &'static str {
         match self {
             Mode::Oracle => "",
-            Mode::Compiled => " compiled",
             Mode::Lane => " lane",
             Mode::Multicore => " multicore",
             Mode::Irregular => " irregular",
@@ -69,7 +63,7 @@ impl Mode {
 fn usage() -> ! {
     eprintln!(
         "usage: sttcache-check [--quick] [--seed N] [--cases N] [--events N] \
-         [--kind NAME|compiled|lane|multicore|irregular] [--shrink] [--list-kinds]"
+         [--kind NAME|lane|multicore|irregular] [--shrink] [--list-kinds]"
     );
     std::process::exit(2);
 }
@@ -121,7 +115,6 @@ fn main() {
                 match args.get(i).map(String::as_str) {
                     // Not generator families: these switch the cross-check
                     // every family's traces run through.
-                    Some("compiled") => mode = Mode::Compiled,
                     Some("lane") => mode = Mode::Lane,
                     Some("multicore") => mode = Mode::Multicore,
                     Some("irregular") => mode = Mode::Irregular,
@@ -143,7 +136,6 @@ fn main() {
                 for k in Adversary::ALL {
                     println!("{}", k.name());
                 }
-                println!("compiled");
                 println!("lane");
                 println!("multicore");
                 println!("irregular");
@@ -182,7 +174,6 @@ fn main() {
     let total = plan.len();
     let run_one: fn(Adversary, u64, usize) -> Result<(), check::CheckFailure> = match mode {
         Mode::Oracle => check::run_case,
-        Mode::Compiled => check::run_compiled_case,
         Mode::Lane => check::run_lane_case,
         Mode::Multicore => check::run_multicore_case,
         Mode::Irregular => check::run_irregular_case,
@@ -214,9 +205,6 @@ fn main() {
             Mode::Oracle => println!(
                 "{total} traces x {orgs} organizations: all oracle, drain and invariant checks passed"
             ),
-            Mode::Compiled => println!(
-                "{total} traces x {orgs} organizations: compiled and interpreted replay agree everywhere"
-            ),
             Mode::Lane => println!(
                 "{total} traces x {orgs} organizations: lane and generic replay agree everywhere"
             ),
@@ -225,8 +213,8 @@ fn main() {
                  and conservation all passed"
             ),
             Mode::Irregular => println!(
-                "{total} irregular traces x {orgs} organizations: oracle, compiled and lane \
-                 checks all passed"
+                "{total} irregular traces x {orgs} organizations: oracle and lane checks \
+                 all passed"
             ),
         }
         return;
@@ -236,7 +224,6 @@ fn main() {
     for f in &failures {
         let replay_kind = match mode {
             Mode::Oracle => f.kind.name(),
-            Mode::Compiled => "compiled",
             Mode::Lane => "lane",
             Mode::Multicore => "multicore",
             Mode::Irregular => "irregular",
@@ -282,7 +269,6 @@ fn main() {
         } else {
             let minimal = match mode {
                 Mode::Oracle => check::shrink_failure(first),
-                Mode::Compiled => check::shrink_compiled_failure(first),
                 Mode::Lane => check::shrink_lane_failure(first),
                 Mode::Irregular => check::shrink_irregular_failure(first),
                 Mode::Multicore => unreachable!("handled above"),

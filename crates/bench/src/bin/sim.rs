@@ -31,8 +31,11 @@
 //! * `--trace-file <path>`: replay a recorded trace file (written by
 //!   `Trace::write_to`, e.g. the `trace_sweep` example) instead of a
 //!   catalog kernel. The file is content-hashed into a workload identity
-//!   and routed through the full replay stack — trace cache, compiled
-//!   replay, result memo — exactly like a kernel-backed workload.
+//!   and routed through the full replay stack — trace cache, result
+//!   memo — exactly like a kernel-backed workload.
+//!
+//! A malformed `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES` exits 2,
+//! as does `--vwb-bits` without `--org vwb`.
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
@@ -62,7 +65,7 @@ fn usage() -> ! {
         "usage: sim --bench <name> | --trace-file <path> [--org {}] [--size mini|small]\n\
          \x20          [--opts none|all|v+p+o subset] [--vwb-bits N] [--icache sram|nvm]\n\
          \x20          [--baseline] [--explain [org]] [--jobs N | --serial]\n\
-         \x20          [--no-trace-cache] [--no-compiled-replay] [--profile]\n\
+         \x20          [--no-trace-cache] [--profile]\n\
          \x20          [--cores N] [--mix workload[@offset][:org]+...] [--l2-banks N]\n\
          workloads: {} or file:<path>",
         sttcache::catalog::catalog()
@@ -111,7 +114,7 @@ fn parse_args() -> Options {
     let mut org = "nvm".to_string();
     let mut size = ProblemSize::Mini;
     let mut opts = Transformations::none();
-    let mut vwb_bits = 2048usize;
+    let mut vwb_bits = None;
     let mut icache = None;
     let mut baseline = false;
     let mut profile = false;
@@ -140,7 +143,7 @@ fn parse_args() -> Options {
                 }
             }
             "--opts" => opts = parse_opts(&next(&mut i)).unwrap_or_else(|| usage()),
-            "--vwb-bits" => vwb_bits = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--vwb-bits" => vwb_bits = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--icache" => {
                 let tech = match next(&mut i).as_str() {
                     "sram" => DlOneTechnology::Sram,
@@ -180,7 +183,6 @@ fn parse_args() -> Options {
                 l2_banks = Some(n);
             }
             "--no-trace-cache" => trace_cache::set_enabled(false),
-            "--no-compiled-replay" => trace_cache::set_compiled_enabled(false),
             "--profile" => profile = true,
             "--serial" => parallel::set_jobs(1),
             "--jobs" => {
@@ -201,9 +203,13 @@ fn parse_args() -> Options {
 
     // `--vwb-bits` overrides the catalog's default VWB size; every other
     // key resolves straight from the catalog.
+    if vwb_bits.is_some() && org != "vwb" {
+        eprintln!("--vwb-bits needs --org vwb");
+        std::process::exit(2);
+    }
     let org = match org.as_str() {
         "vwb" => DCacheOrganization::NvmVwb(VwbConfig {
-            capacity_bits: vwb_bits,
+            capacity_bits: vwb_bits.unwrap_or(VwbConfig::default().capacity_bits),
             ..VwbConfig::default()
         }),
         key => {
@@ -274,6 +280,10 @@ fn run_multicore(o: &Options) {
 }
 
 fn main() {
+    if let Err(e) = sttcache_bench::check_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let o = parse_args();
     let start = std::time::Instant::now();
     if o.cores > 1 || o.mix.is_some() {

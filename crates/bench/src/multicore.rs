@@ -76,7 +76,8 @@ impl MixSpec {
             // Suffixes bind from the right so `file:` paths containing
             // ':' or '@' survive: the last ':key' is an organization only
             // if the catalog knows `key`, the last '@n' an offset only if
-            // `n` is decimal. Anything else stays part of the token and
+            // `n` is decimal (an all-digit `n` too large for a cycle count
+            // is an error). Anything else stays part of the token and
             // fails in the workload resolver with a full token list.
             let (head, org) = match part.rsplit_once(':') {
                 Some((h, key)) if !h.is_empty() => match sttcache::by_cli(key) {
@@ -88,6 +89,13 @@ impl MixSpec {
             let (token, offset) = match head.rsplit_once('@') {
                 Some((t, off)) if !t.is_empty() => match off.parse::<Cycle>() {
                     Ok(offset) => (t, offset),
+                    Err(_) if !off.is_empty() && off.bytes().all(|b| b.is_ascii_digit()) => {
+                        return Err(format!(
+                            "in mix entry '{part}': offset {off} overflows the cycle \
+                             count (max {})",
+                            Cycle::MAX
+                        ));
+                    }
                     Err(_) => (head, 0),
                 },
                 _ => (head, 0),
@@ -545,6 +553,15 @@ mod tests {
         assert!(MixSpec::parse("nosuchkernel").is_err());
         assert!(MixSpec::parse("gemm@abc").is_err());
         assert!(MixSpec::parse("gemm:nosuchorg").is_err());
+    }
+
+    #[test]
+    fn mix_offset_overflow_is_reported_as_such() {
+        let err = MixSpec::parse("gemm@99999999999999999999+mvt").unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        assert!(!err.contains("unknown workload"), "{err}");
+        let max = format!("gemm@{}", Cycle::MAX);
+        assert_eq!(MixSpec::parse(&max).unwrap().entries[0].offset, Cycle::MAX);
     }
 
     #[test]

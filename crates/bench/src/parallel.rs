@@ -109,6 +109,18 @@ pub fn grid(
     points
 }
 
+/// `STTCACHE_THREADS` as a worker count; `Ok(None)` when it is unset.
+///
+/// # Errors
+///
+/// Names the variable and its value when it is set to anything but a
+/// positive integer.
+pub(crate) fn threads_from_env() -> Result<Option<usize>, String> {
+    crate::env_knob("STTCACHE_THREADS", "a positive integer", |v| {
+        v.parse().ok().filter(|&n: &usize| n > 0)
+    })
+}
+
 /// Shards independent work items across scoped threads and merges the
 /// results back in grid order.
 #[derive(Debug, Clone, Copy)]
@@ -129,16 +141,13 @@ impl SweepRunner {
 
     /// Worker count from the environment: `STTCACHE_THREADS` if set to a
     /// positive integer, otherwise [`std::thread::available_parallelism`].
+    /// The binaries reject any other value up front ([`crate::check_env`]).
     pub fn from_env() -> Self {
-        let workers = std::env::var("STTCACHE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let workers = threads_from_env().ok().flatten().unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         SweepRunner::with_workers(workers)
     }
 

@@ -11,8 +11,8 @@
 //! serialized event stream is FNV-1a hashed into the 64-bit identity
 //! behind [`Workload::External`]. The same recording ingested twice — or
 //! from two different paths — is one workload, so the trace cache's
-//! result memo and compiled-trace cache apply to it exactly as they do
-//! to kernel-backed workloads, with zero special cases downstream.
+//! result memo applies to it exactly as it does to kernel-backed
+//! workloads, with zero special cases downstream.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

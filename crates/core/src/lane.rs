@@ -17,11 +17,10 @@ use crate::front_end::FrontEnd;
 use crate::stage::{probe_then_fetch, BufferStage, Buffered, StageStats};
 use crate::vwb::VwbStage;
 use crate::Hierarchy;
-use sttcache_cpu::{CompiledTrace, Core, DataPort, MemPort, Trace};
-use sttcache_mem::{Addr, CacheStats, Cycle, DecodedAddr, MemoryLevel};
+use sttcache_cpu::{DataPort, MemPort};
+use sttcache_mem::{Addr, CacheStats, Cycle, MemoryLevel};
 
-/// Which dispatch [`crate::Platform::run_trace`] and
-/// [`crate::Platform::run_compiled`] replay through.
+/// Which dispatch [`crate::Platform::run_trace`] replays through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneMode {
     /// The monomorphic lane when the organization has one, the generic
@@ -101,14 +100,6 @@ impl DataPort for PlainLane {
     fn prefetch(&mut self, addr: Addr, now: Cycle) {
         probe_then_fetch(self.0.level_mut(), addr, now);
     }
-
-    fn read_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        self.0.read_pre(d, now)
-    }
-
-    fn write_pre(&mut self, d: DecodedAddr, now: Cycle) -> Cycle {
-        self.0.write_pre(d, now)
-    }
 }
 
 impl LanePort for PlainLane {
@@ -177,31 +168,6 @@ impl ReplayLane {
             ReplayLane::Emshr(_) => "emshr",
             ReplayLane::Generic(_) => "generic",
         }
-    }
-}
-
-/// Pushes one recorded event stream into a core. Generic over the port
-/// type, so one driver replays through every [`ReplayLane`] variant —
-/// rank-2 polymorphism a plain closure cannot express.
-pub(crate) trait LaneDriver {
-    fn drive<P: DataPort>(&self, core: &mut Core<P>);
-}
-
-/// Replays an interpreted [`Trace`].
-pub(crate) struct TraceDriver<'a>(pub &'a Trace);
-
-impl LaneDriver for TraceDriver<'_> {
-    fn drive<P: DataPort>(&self, core: &mut Core<P>) {
-        self.0.replay_into(core);
-    }
-}
-
-/// Replays a [`CompiledTrace`] through the pre-decoded entry points.
-pub(crate) struct CompiledDriver<'a>(pub &'a CompiledTrace);
-
-impl LaneDriver for CompiledDriver<'_> {
-    fn drive<P: DataPort>(&self, core: &mut Core<P>) {
-        self.0.replay_into_core(core);
     }
 }
 

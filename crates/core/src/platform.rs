@@ -13,15 +13,11 @@ use crate::dl1::{
     l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, sram_il1_config, DlOneTechnology,
 };
 use crate::front_end::FrontEnd;
-use crate::lane::{
-    CompiledDriver, LaneDriver, LaneMode, LanePort, PlainLane, ReplayLane, TraceDriver,
-};
+use crate::lane::{LaneMode, LanePort, PlainLane, ReplayLane};
 use crate::stage::{BufferStats, Buffered, StackSpec, StageSpec, StageStats};
 use crate::vwb::{VwbConfig, VwbStage};
 use crate::{Hierarchy, SttError};
-use sttcache_cpu::{
-    CompiledTrace, Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace, TraceGeometry,
-};
+use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace};
 use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
@@ -182,7 +178,7 @@ impl Platform {
         &self.config
     }
 
-    pub(crate) fn dl1_config(&self) -> Result<CacheConfig, SttError> {
+    fn dl1_config(&self) -> Result<CacheConfig, SttError> {
         if let Some(cfg) = self.config.dl1_override {
             return Ok(cfg);
         }
@@ -275,7 +271,7 @@ impl Platform {
         let lane = self
             .build_lane(mode)
             .expect("configuration was validated eagerly");
-        self.run_lane(lane, TraceDriver(trace))
+        self.run_lane(lane, trace)
     }
 
     /// Which [`ReplayLane`] this configuration selects under the given
@@ -315,64 +311,17 @@ impl Platform {
         })
     }
 
-    /// Runs `driver` on `lane` — one [`Platform::run_core_on`]
+    /// Replays `trace` on `lane` — one [`Platform::run_core_on`]
     /// monomorphization per lane variant, so the whole replay loop
     /// devirtualizes at compile time.
-    fn run_lane(&self, lane: ReplayLane, driver: impl LaneDriver) -> RunResult {
+    fn run_lane(&self, lane: ReplayLane, trace: &Trace) -> RunResult {
         match lane {
-            ReplayLane::Plain(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Vwb(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::L0(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Emshr(p) => self.run_core_on(p, |c| driver.drive(c)),
-            ReplayLane::Generic(fe) => self.run_core_on(fe, |c| driver.drive(c)),
+            ReplayLane::Plain(p) => self.run_core_on(p, |c| trace.replay_into(c)),
+            ReplayLane::Vwb(p) => self.run_core_on(p, |c| trace.replay_into(c)),
+            ReplayLane::L0(p) => self.run_core_on(p, |c| trace.replay_into(c)),
+            ReplayLane::Emshr(p) => self.run_core_on(p, |c| trace.replay_into(c)),
+            ReplayLane::Generic(fe) => self.run_core_on(fe, |c| trace.replay_into(c)),
         }
-    }
-
-    /// The DL1's `(line_bytes, sets, banks)` triple — the geometry a trace
-    /// must be compiled against ([`CompiledTrace::compile`]) to replay on
-    /// this platform through [`Platform::run_compiled`].
-    pub fn dl1_geometry(&self) -> TraceGeometry {
-        let cfg = self
-            .dl1_config()
-            .expect("configuration was validated eagerly");
-        TraceGeometry::new(cfg.line_bytes(), cfg.sets(), cfg.banks())
-    }
-
-    /// Replays a [`CompiledTrace`] on a cold platform — the
-    /// structure-of-arrays fast path: no varint decode, no per-event
-    /// address math, no bounds checks in the hot loop.
-    ///
-    /// Cycle-for-cycle identical to [`Platform::run_trace`] on the trace
-    /// the compiled form was lowered from, **provided** it was compiled
-    /// for this platform's [`Platform::dl1_geometry`] — asserted here, and
-    /// re-checked per access by `debug_assert`s in the pre-decoded cache
-    /// entry points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled.geometry()` differs from this platform's DL1
-    /// geometry (replaying would silently mis-index sets and banks).
-    pub fn run_compiled(&self, compiled: &CompiledTrace) -> RunResult {
-        self.run_compiled_with(compiled, LaneMode::from_env())
-    }
-
-    /// [`Platform::run_compiled`] with an explicit lane mode; see
-    /// [`Platform::run_trace_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled.geometry()` differs from this platform's DL1
-    /// geometry.
-    pub fn run_compiled_with(&self, compiled: &CompiledTrace, mode: LaneMode) -> RunResult {
-        assert_eq!(
-            compiled.geometry(),
-            self.dl1_geometry(),
-            "compiled trace geometry does not match the platform's DL1"
-        );
-        let lane = self
-            .build_lane(mode)
-            .expect("configuration was validated eagerly");
-        self.run_lane(lane, CompiledDriver(compiled))
     }
 
     /// Shared body of [`Platform::run`] and the generic replay path:
@@ -741,26 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_replay_matches_interpreted_replay_everywhere() {
-        let trace: sttcache_cpu::Trace = {
-            let mut rec = sttcache_cpu::TraceRecorder::new();
-            workload(&mut rec);
-            rec.prefetch(Addr(0x4000));
-            rec.into_trace()
-        };
-        for entry in crate::catalog::catalog() {
-            let p = Platform::new(entry.organization).unwrap();
-            let compiled = CompiledTrace::compile(&trace, p.dl1_geometry());
-            assert_eq!(
-                p.run_compiled(&compiled),
-                p.run_trace(&trace),
-                "{}",
-                entry.organization.name()
-            );
-        }
-    }
-
-    #[test]
     fn monomorphic_lanes_match_the_generic_referee() {
         let trace: sttcache_cpu::Trace = {
             let mut rec = sttcache_cpu::TraceRecorder::new();
@@ -773,21 +702,6 @@ mod tests {
             let lane = p.run_trace_with(&trace, crate::LaneMode::Auto);
             let referee = p.run_trace_with(&trace, crate::LaneMode::Generic);
             assert_eq!(lane, referee, "{}", entry.organization.name());
-            let compiled = CompiledTrace::compile(&trace, p.dl1_geometry());
-            let lane_c = p.run_compiled_with(&compiled, crate::LaneMode::Auto);
-            let referee_c = p.run_compiled_with(&compiled, crate::LaneMode::Generic);
-            assert_eq!(
-                lane_c,
-                referee_c,
-                "{} (compiled)",
-                entry.organization.name()
-            );
-            assert_eq!(
-                lane,
-                lane_c,
-                "{} (lane trace vs compiled)",
-                entry.organization.name()
-            );
         }
     }
 
@@ -812,17 +726,6 @@ mod tests {
             p.build_lane(crate::LaneMode::Generic).unwrap().kind(),
             "generic"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry")]
-    fn run_compiled_rejects_a_foreign_geometry() {
-        let sram = Platform::new(DCacheOrganization::SramBaseline).unwrap();
-        let nvm = Platform::new(DCacheOrganization::NvmDropIn).unwrap();
-        let trace = sttcache_cpu::Trace::new();
-        // SRAM lines are 32 B, NVM lines 64 B: the geometries differ.
-        let compiled = CompiledTrace::compile(&trace, sram.dl1_geometry());
-        nvm.run_compiled(&compiled);
     }
 
     #[test]

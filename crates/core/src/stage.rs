@@ -337,13 +337,6 @@ impl<S: BufferStage, M: MemoryLevel> DataPort for Buffered<S, M> {
     fn prefetch(&mut self, addr: Addr, now: Cycle) {
         self.stage.prefetch(&mut self.below, addr, now);
     }
-
-    // The `*_pre` pre-decoded entry points deliberately keep their default
-    // (plain-path) implementations: buffer stages index by their own
-    // entry-granular keys and re-derive line addresses internally, so a
-    // DL1-geometry decomposition has nothing to short-circuit here.
-    // Compiled replay through a buffered front-end therefore takes exactly
-    // the interpreted access path — identical timing by construction.
 }
 
 /// Adapter presenting "an inner stage over a backing level" as one

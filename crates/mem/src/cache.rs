@@ -1,6 +1,6 @@
 //! The timed set-associative cache.
 
-use crate::addr::{Addr, Cycle, DecodedAddr, LineAddr};
+use crate::addr::{Addr, Cycle, LineAddr};
 use crate::banks::BankSchedule;
 use crate::config::{CacheConfig, WritePolicy};
 use crate::mshr::{MshrFile, MshrOutcome};
@@ -385,28 +385,6 @@ impl<N: MemoryLevel> Cache<N> {
         (fill_ready, ServedBy::Lower, Some(victim))
     }
 
-    /// Serves a read whose address decomposition was computed ahead of
-    /// time (a compiled-trace replay). Identical in timing, statistics and
-    /// state to [`MemoryLevel::read`]; the shift/mask address math is
-    /// simply not repeated per access.
-    ///
-    /// `d` must be the address's decomposition under *this* cache's
-    /// geometry (checked in debug builds).
-    pub fn read_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        debug_assert_eq!(d.line, self.line_of(d.addr));
-        debug_assert_eq!(d.set_index, d.line.set_index(self.set_count));
-        debug_assert_eq!(d.bank, d.line.bank(self.config.banks()));
-        self.read_at(d.addr, d.line, d.set_index, d.bank, now)
-    }
-
-    /// [`Cache::read_decoded`] for writes.
-    pub fn write_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        debug_assert_eq!(d.line, self.line_of(d.addr));
-        debug_assert_eq!(d.set_index, d.line.set_index(self.set_count));
-        debug_assert_eq!(d.bank, d.line.bank(self.config.banks()));
-        self.write_at(d.addr, d.line, d.set_index, d.bank, now)
-    }
-
     /// When a hit on `line` at `now` can read the array: at once, unless
     /// the line's own fill is still in flight. `fills_pending` rules out
     /// every in-flight fill with one compare, so the MSHR scan runs only
@@ -420,11 +398,11 @@ impl<N: MemoryLevel> Cache<N> {
         }
     }
 
-    /// Shared body of [`MemoryLevel::read`] and [`Cache::read_decoded`]:
-    /// `line`, `set_index` and `bank` must be `addr`'s decomposition under
-    /// this cache's geometry. One scan of the set finds the hit; a miss
-    /// takes its victim from the same set state without scanning again.
-    /// Armed observers run the same path.
+    /// The body of [`MemoryLevel::read`]: `line`, `set_index` and `bank`
+    /// must be `addr`'s decomposition under this cache's geometry. One
+    /// scan of the set finds the hit; a miss takes its victim from the
+    /// same set state without scanning again. Armed observers run the
+    /// same path.
     #[inline]
     fn read_at(
         &mut self,
@@ -476,7 +454,8 @@ impl<N: MemoryLevel> Cache<N> {
         }
     }
 
-    /// Shared body of [`MemoryLevel::write`] and [`Cache::write_decoded`].
+    /// The body of [`MemoryLevel::write`]; arguments as for
+    /// [`Cache::read_at`].
     #[inline]
     fn write_at(
         &mut self,
@@ -680,14 +659,6 @@ impl<N: MemoryLevel> MemoryLevel for Cache<N> {
         self.mshrs.reset_stats();
         self.write_buffer.reset_stats();
         self.next.reset_stats();
-    }
-
-    fn read_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        Cache::read_decoded(self, d, now)
-    }
-
-    fn write_decoded(&mut self, d: DecodedAddr, now: Cycle) -> AccessOutcome {
-        Cache::write_decoded(self, d, now)
     }
 
     fn contains(&self, addr: Addr) -> bool {
@@ -994,31 +965,6 @@ mod tests {
             })
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn decoded_accesses_match_plain_accesses() {
-        let mut plain = dl1();
-        let mut decoded = dl1();
-        let sets = plain.config().sets();
-        let banks = plain.config().banks();
-        let lb = plain.config().line_bytes();
-        let stride = (sets * lb) as u64;
-        let addrs = [0u64, 8, 64, stride, 2 * stride, 0xdead_beef, u64::MAX];
-        let mut t = 0;
-        for (i, &raw) in addrs.iter().enumerate() {
-            let a = Addr(raw);
-            let d = DecodedAddr::decode(a, lb, sets, banks);
-            let (p, q) = if i % 2 == 0 {
-                (plain.read(a, t), decoded.read_decoded(d, t))
-            } else {
-                (plain.write(a, t), decoded.write_decoded(d, t))
-            };
-            assert_eq!(p, q, "decoded access diverged at {a}");
-            t = p.complete_at + 3;
-        }
-        assert_eq!(plain.stats(), decoded.stats());
-        assert_eq!(plain.dirty_lines(), decoded.dirty_lines());
     }
 
     /// Runs a fixed stream of misses, hits, same-set evictions, same-bank

@@ -5,12 +5,31 @@
 use std::process::{Command, Output, Stdio};
 
 fn run(bin: &str, args: &[&str]) -> Output {
+    run_with_env(bin, args, &[])
+}
+
+/// Runs `bin` with `env` set on the child process only.
+fn run_with_env(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(bin)
         .args(args)
         .env_remove("STTCACHE_INVARIANTS")
         .env_remove("STTCACHE_TELEMETRY")
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
+}
+
+/// Asserts `out` is a usage failure: exit 2, a message on stderr that
+/// contains every one of `needles`, no panic and no results.
+fn assert_rejected(out: &Output, what: &str, needles: &[&str]) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert!(!stderr.trim().is_empty(), "{what}: no message");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{what}: no '{needle}' in {stderr}");
+    }
+    assert!(out.stdout.is_empty(), "{what} printed results");
 }
 
 #[test]
@@ -20,11 +39,7 @@ fn sim_rejects_bank_counts_that_are_not_powers_of_two() {
             env!("CARGO_BIN_EXE_sim"),
             &["--cores", "2", "--l2-banks", banks],
         );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "--l2-banks {banks}: {stderr}");
-        assert!(!stderr.contains("panicked"), "--l2-banks {banks}: {stderr}");
-        assert!(!stderr.trim().is_empty(), "--l2-banks {banks}: no message");
-        assert!(out.stdout.is_empty(), "--l2-banks {banks} printed results");
+        assert_rejected(&out, &format!("--l2-banks {banks}"), &[]);
     }
 }
 
@@ -48,4 +63,48 @@ fn figures_ends_quietly_when_stdout_is_closed() {
         stderr.is_empty(),
         "a closed stdout is not an error: {stderr}"
     );
+}
+
+#[test]
+fn sim_rejects_vwb_bits_without_the_vwb_organization() {
+    for args in [
+        &["--bench", "gemm", "--size", "mini", "--vwb-bits", "4096"][..],
+        &["--bench", "gemm", "--org", "l0", "--vwb-bits", "4096"][..],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_sim"), args);
+        assert_rejected(&out, &args.join(" "), &["--vwb-bits", "--org vwb"]);
+    }
+    let out = run(
+        env!("CARGO_BIN_EXE_sim"),
+        &["--bench", "trisolv", "--org", "vwb", "--vwb-bits", "4096"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "--org vwb --vwb-bits: {stderr}");
+}
+
+#[test]
+fn sim_reports_an_overflowing_mix_offset_as_such() {
+    let out = run(
+        env!("CARGO_BIN_EXE_sim"),
+        &["--cores", "2", "--mix", "gemm@99999999999999999999+mvt"],
+    );
+    assert_rejected(&out, "overflowing --mix offset", &["overflows"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("unknown workload"), "{stderr}");
+}
+
+#[test]
+fn malformed_env_knobs_exit_2_naming_the_variable_and_value() {
+    let figures = (env!("CARGO_BIN_EXE_figures"), &["table1"][..]);
+    let sim = (env!("CARGO_BIN_EXE_sim"), &["--bench", "gemm"][..]);
+    for (var, value) in [
+        ("STTCACHE_THREADS", "-1"),
+        ("STTCACHE_THREADS", "0"),
+        ("STTCACHE_TRACE_CACHE_BYTES", "abc"),
+    ] {
+        for (bin, args) in [figures, sim] {
+            let out = run_with_env(bin, args, &[(var, value)]);
+            assert_rejected(&out, &format!("{var}={value} {bin}"), &[var, value]);
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! Covers the round-trip property (write → read → replay is bit-for-bit
 //! identical to the in-memory replay) across the whole workload catalog,
 //! byte-identity of an ingested `file:` workload through every replay
-//! mode (trace cache on/off, compiled replay on/off, lanes vs the
-//! generic referee, serial vs parallel sweeps), the 2-core mix grammar,
+//! mode (trace cache on/off, lanes vs the generic referee, serial vs
+//! parallel sweeps), the 2-core mix grammar,
 //! and rejection of truncated/corrupt files through the mix token.
 
 use sttcache::{DCacheOrganization, LaneMode, Platform, PlatformConfig};
@@ -52,9 +52,9 @@ fn round_trip_replay_is_bit_identical_across_the_catalog() {
 
 /// An ingested trace file replays byte-identically through every mode of
 /// the replay stack: direct replay is the reference, and the trace-cache
-/// pipeline must match it with the cache on or off, compiled replay on
-/// or off, through the monomorphic lanes and the generic referee, and
-/// from serial and parallel sweeps. (Global toggles are flipped and
+/// pipeline must match it with the cache on or off, through the
+/// monomorphic lanes and the generic referee, and from serial and
+/// parallel sweeps. (Global toggles are flipped and
 /// restored inside this one test; the other tests in this binary do not
 /// depend on them.)
 #[test]
@@ -86,22 +86,19 @@ fn ingested_trace_replays_byte_identical_in_every_mode() {
             reference
         );
 
-        // The full pipeline across the four cache/compiled toggle states.
+        // The full pipeline with the trace cache on and off.
         let cfg = PlatformConfig::new(org);
         let cache_was_on = trace_cache::enabled();
-        let compiled_was_on = trace_cache::compiled_enabled();
-        for (cache, compiled) in [(true, true), (true, false), (false, true), (false, false)] {
+        for cache in [true, false] {
             trace_cache::set_enabled(cache);
-            trace_cache::set_compiled_enabled(compiled);
             assert_eq!(
                 trace_cache::run_config(&cfg, w, size, t),
                 reference,
-                "{}: cache={cache} compiled={compiled} diverged",
+                "{}: cache={cache} diverged",
                 org.name()
             );
         }
         trace_cache::set_enabled(cache_was_on);
-        trace_cache::set_compiled_enabled(compiled_was_on);
 
         // Serial and parallel sweeps agree with the reference cycle count.
         let points = [w; 4];

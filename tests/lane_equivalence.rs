@@ -7,8 +7,8 @@
 //! organization × kernel × transformation set, replaying through the
 //! lane ([`LaneMode::Auto`]) must produce the identical [`RunResult`] —
 //! core report and full hierarchy statistics — as the generic referee
-//! ([`LaneMode::Generic`]), interpreted and compiled alike. A lane-kind
-//! census pins which organizations get a monomorphic lane so the battery
+//! ([`LaneMode::Generic`]). A lane-kind census pins which organizations
+//! get a monomorphic lane so the battery
 //! can never degenerate into comparing the generic path against itself.
 //!
 //! [`ReplayLane`]: sttcache::ReplayLane
@@ -18,7 +18,6 @@ use sttcache::{DCacheOrganization, LaneMode, Platform};
 use sttcache_bench::check;
 use sttcache_bench::testkit::DEFAULT_SEED;
 use sttcache_bench::trace_cache;
-use sttcache_cpu::CompiledTrace;
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
 /// none, all, and each transformation alone.
@@ -57,14 +56,13 @@ fn stock_organizations_select_monomorphic_lanes() {
 }
 
 /// The full battery: every catalog organization × kernel × transformation
-/// set. Lane replay must be bit-identical to the generic referee, both
-/// interpreted and compiled, down to the rendered statistics report.
+/// set. Lane replay must be bit-identical to the generic referee, down to
+/// the rendered statistics report.
 #[test]
 fn lane_replay_matches_generic_referee_everywhere() {
     let size = ProblemSize::Mini;
     for org in check::all_organizations() {
         let platform = Platform::new(org).expect("canonical organization validates");
-        let geometry = platform.dl1_geometry();
         for bench in PolyBench::ALL {
             for t in transform_sets() {
                 let trace = trace_cache::cached_trace(bench, size, t);
@@ -81,23 +79,6 @@ fn lane_replay_matches_generic_referee_everywhere() {
                     lane.stats_text(),
                     generic.stats_text(),
                     "stats report diverged on {}/{}/{t}",
-                    org.name(),
-                    bench.name()
-                );
-                let compiled = CompiledTrace::compile(&trace, geometry);
-                let lane_compiled = platform.run_compiled_with(&compiled, LaneMode::Auto);
-                let generic_compiled = platform.run_compiled_with(&compiled, LaneMode::Generic);
-                assert_eq!(
-                    lane_compiled,
-                    generic_compiled,
-                    "compiled lane replay diverged on {}/{}/{t}",
-                    org.name(),
-                    bench.name()
-                );
-                assert_eq!(
-                    lane_compiled,
-                    lane,
-                    "compiled vs interpreted lane replay diverged on {}/{}/{t}",
                     org.name(),
                     bench.name()
                 );

@@ -3,8 +3,9 @@
 //! Every PolyBench kernel × transformation set must produce the identical
 //! [`RunResult`] — core report and full hierarchy statistics — whether the
 //! simulation runs the kernel directly or replays the shared cached trace,
-//! on both the SRAM baseline and the VWB organization. This is the
-//! byte-identical-output guarantee the figures depend on.
+//! on the SRAM baseline (32-byte DL1 lines), the NVM drop-in (64-byte
+//! lines) and the VWB organization. This is the byte-identical-output
+//! guarantee the figures depend on.
 //!
 //! [`RunResult`]: sttcache::RunResult
 
@@ -29,6 +30,7 @@ fn cached_replay_matches_direct_on_every_kernel_and_transform() {
     let size = ProblemSize::Mini;
     for org in [
         DCacheOrganization::SramBaseline,
+        DCacheOrganization::NvmDropIn,
         DCacheOrganization::nvm_vwb_default(),
     ] {
         for bench in PolyBench::ALL {
