@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sttcache-check [--quick] [--seed N] [--cases N] [--events N]
-//!                [--kind NAME|lane|multicore|irregular] [--shrink] [--list-kinds]
+//!                [--kind NAME|multicore|irregular] [--shrink] [--list-kinds]
 //! ```
 //!
 //! Every generated trace runs on every catalog L1 D-cache organization with
@@ -18,11 +18,6 @@
 //! replay; `--shrink` additionally minimizes the first failing trace and
 //! prints the surviving events. Exit status 1 on any failure.
 //!
-//! `--kind lane` switches the check itself: every adversary family still
-//! generates traces, but each one replays through the monomorphic
-//! data-path lanes and through the generic dynamic-dispatch referee
-//! instead of the shadow-oracle differential, and the results must be
-//! bit-identical.
 //! `--kind multicore` derives a random 2–4 core mix per case (per-core
 //! adversarial traces, organizations and phase offsets) and cross-checks
 //! the co-scheduled run against per-core isolated runs, the per-core
@@ -32,7 +27,7 @@
 //! workload catalog's irregular pointer-chasing family: each case
 //! derives a kernel/transform pick from the seed, records the kernel's
 //! deterministic trace and runs it through the oracle differential and
-//! the lane cross-check combined.
+//! the replay-vs-direct cross-check combined.
 
 use sttcache_bench::check::{self, Adversary};
 
@@ -41,8 +36,6 @@ use sttcache_bench::check::{self, Adversary};
 enum Mode {
     /// Shadow-oracle differential against the SRAM baseline.
     Oracle,
-    /// Monomorphic replay lanes vs the generic dispatch referee.
-    Lane,
     /// Co-scheduled multi-core mixes vs per-core isolated runs.
     Multicore,
     /// Irregular-family kernel traces through every cross-check at once.
@@ -53,7 +46,6 @@ impl Mode {
     fn tag(self) -> &'static str {
         match self {
             Mode::Oracle => "",
-            Mode::Lane => " lane",
             Mode::Multicore => " multicore",
             Mode::Irregular => " irregular",
         }
@@ -63,7 +55,7 @@ impl Mode {
 fn usage() -> ! {
     eprintln!(
         "usage: sttcache-check [--quick] [--seed N] [--cases N] [--events N] \
-         [--kind NAME|lane|multicore|irregular] [--shrink] [--list-kinds]"
+         [--kind NAME|multicore|irregular] [--shrink] [--list-kinds]"
     );
     std::process::exit(2);
 }
@@ -115,7 +107,6 @@ fn main() {
                 match args.get(i).map(String::as_str) {
                     // Not generator families: these switch the cross-check
                     // every family's traces run through.
-                    Some("lane") => mode = Mode::Lane,
                     Some("multicore") => mode = Mode::Multicore,
                     Some("irregular") => mode = Mode::Irregular,
                     Some(name) => match Adversary::from_name(name) {
@@ -136,7 +127,6 @@ fn main() {
                 for k in Adversary::ALL {
                     println!("{}", k.name());
                 }
-                println!("lane");
                 println!("multicore");
                 println!("irregular");
                 return;
@@ -174,7 +164,6 @@ fn main() {
     let total = plan.len();
     let run_one: fn(Adversary, u64, usize) -> Result<(), check::CheckFailure> = match mode {
         Mode::Oracle => check::run_case,
-        Mode::Lane => check::run_lane_case,
         Mode::Multicore => check::run_multicore_case,
         Mode::Irregular => check::run_irregular_case,
     };
@@ -205,15 +194,12 @@ fn main() {
             Mode::Oracle => println!(
                 "{total} traces x {orgs} organizations: all oracle, drain and invariant checks passed"
             ),
-            Mode::Lane => println!(
-                "{total} traces x {orgs} organizations: lane and generic replay agree everywhere"
-            ),
             Mode::Multicore => println!(
                 "{total} multi-core mixes: determinism, isolated differentials, residency \
                  and conservation all passed"
             ),
             Mode::Irregular => println!(
-                "{total} irregular traces x {orgs} organizations: oracle and lane checks \
+                "{total} irregular traces x {orgs} organizations: oracle and replay checks \
                  all passed"
             ),
         }
@@ -224,7 +210,6 @@ fn main() {
     for f in &failures {
         let replay_kind = match mode {
             Mode::Oracle => f.kind.name(),
-            Mode::Lane => "lane",
             Mode::Multicore => "multicore",
             Mode::Irregular => "irregular",
         };
@@ -269,7 +254,6 @@ fn main() {
         } else {
             let minimal = match mode {
                 Mode::Oracle => check::shrink_failure(first),
-                Mode::Lane => check::shrink_lane_failure(first),
                 Mode::Irregular => check::shrink_irregular_failure(first),
                 Mode::Multicore => unreachable!("handled above"),
             };

@@ -18,8 +18,9 @@
 //! Grid points execute through the record-once/replay-many trace cache
 //! (`STTCACHE_TRACE_CACHE_BYTES` caps its memory); `--no-trace-cache`
 //! reverts to direct kernel execution — same output in every mode, only
-//! the speed differs. A malformed `STTCACHE_THREADS` or
-//! `STTCACHE_TRACE_CACHE_BYTES` exits 2. `--profile` prints per-phase
+//! the speed differs. A malformed `STTCACHE_THREADS`,
+//! `STTCACHE_TRACE_CACHE_BYTES`, `STTCACHE_TRACE_CHECK`,
+//! `STTCACHE_INVARIANTS` or `STTCACHE_TELEMETRY` exits 2. `--profile` prints per-phase
 //! wall-clock (record/replay/direct), cache hit/miss counts and
 //! per-figure timings to stderr, and
 //! `--profile-json PATH` writes the same data as JSON; stdout stays

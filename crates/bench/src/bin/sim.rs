@@ -34,8 +34,11 @@
 //!   and routed through the full replay stack — trace cache, result
 //!   memo — exactly like a kernel-backed workload.
 //!
-//! A malformed `STTCACHE_THREADS` or `STTCACHE_TRACE_CACHE_BYTES` exits 2,
-//! as does `--vwb-bits` without `--org vwb`.
+//! A malformed `STTCACHE_THREADS`, `STTCACHE_TRACE_CACHE_BYTES` or boolean
+//! knob (`STTCACHE_TRACE_CHECK`, `STTCACHE_INVARIANTS`,
+//! `STTCACHE_TELEMETRY`: `0`, `1`, `false` or `true`) exits 2, as do
+//! `--vwb-bits` without `--org vwb` and a `--vwb-bits` size that holds no
+//! DL1 line.
 
 use sttcache::{
     DCacheOrganization, DlOneTechnology, IcacheConfig, Platform, PlatformConfig, RunResult,
@@ -305,7 +308,7 @@ fn main() {
     cfg.icache = o.icache;
     if let Err(e) = Platform::with_config(cfg.clone()) {
         eprintln!("invalid configuration: {e}");
-        std::process::exit(1);
+        std::process::exit(2);
     }
 
     // The measured run and the optional baseline are independent grid

@@ -26,7 +26,7 @@
 
 use crate::testkit::{Rng, DEFAULT_SEED};
 use sttcache::{
-    CoreSpec, DCacheOrganization, FrontEnd, LaneMode, MultiPlatform, MultiPlatformConfig, Platform,
+    CoreSpec, DCacheOrganization, FrontEnd, MultiPlatform, MultiPlatformConfig, Platform,
     CORE_ADDRESS_STRIDE,
 };
 use sttcache_cpu::{Core, Engine, TeeEngine, Trace, TraceEvent, TraceRecorder};
@@ -475,52 +475,30 @@ pub fn run_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFa
     }
 }
 
-/// Cross-checks the monomorphic replay lanes against the generic
-/// dynamic-dispatch referee on every catalog organization. For each one
-/// the trace replays through the organization's lane
-/// ([`LaneMode::Auto`]) and through the generic [`FrontEnd`] path
-/// ([`LaneMode::Generic`]), and the two
-/// [`RunResult`](sttcache::RunResult)s must be bit-identical. Returns
-/// one message per divergence; empty when the trace passes everywhere.
-pub fn check_lane(label: &str, trace: &Trace) -> Vec<String> {
+/// Cross-checks trace replay against direct execution on every catalog
+/// organization: [`Platform::run_trace`], which matches the front-end
+/// once and replays through the concrete port, must produce the
+/// bit-identical [`RunResult`](sttcache::RunResult) that
+/// [`Platform::run`] produces when the same events drive the core
+/// through the dynamically dispatched [`Engine`]. Returns one message
+/// per divergence; empty when the trace passes everywhere.
+pub fn check_replay(label: &str, trace: &Trace) -> Vec<String> {
     let mut failures = Vec::new();
     for org in all_organizations() {
         let platform = Platform::new(org).expect("canonical organization validates");
-        let lane = platform.run_trace_with(trace, LaneMode::Auto);
-        let generic = platform.run_trace_with(trace, LaneMode::Generic);
-        if lane != generic {
+        let replayed = platform.run_trace(trace);
+        let direct = platform.run(|e| trace.replay(e));
+        if replayed != direct {
             failures.push(format!(
-                "[{}] {label}: lane replay diverged from the generic referee \
+                "[{}] {label}: trace replay diverged from direct execution \
                  ({} vs {} cycles)",
                 org.name(),
-                lane.cycles(),
-                generic.cycles()
+                replayed.cycles(),
+                direct.cycles()
             ));
         }
     }
     failures
-}
-
-/// Generates one adversarial trace and runs [`check_lane`] on it — the
-/// `--kind lane` leg of `sttcache-check`.
-///
-/// # Errors
-///
-/// Returns the structured [`CheckFailure`] when any organization's lane
-/// replay diverges from the generic referee.
-pub fn run_lane_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
-    let trace = adversarial_trace(kind, seed, events);
-    let failures = check_lane(&format!("{}#{seed:#x}", kind.name()), &trace);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CheckFailure {
-            kind,
-            seed,
-            events,
-            failures,
-        })
-    }
 }
 
 /// The fixed seeds `--quick` runs (plus [`testkit::base_seed`]'s
@@ -595,16 +573,6 @@ pub fn shrink_failure(failure: &CheckFailure) -> Trace {
     trace_from_events(&minimal)
 }
 
-/// [`shrink_failure`]'s counterpart for `--kind lane` failures: the
-/// probe is [`check_lane`] against the generic referee.
-pub fn shrink_lane_failure(failure: &CheckFailure) -> Trace {
-    let trace = adversarial_trace(failure.kind, failure.seed, failure.events);
-    let minimal = shrink_events(trace.events(), |evs| {
-        !check_lane("shrink-probe", &trace_from_events(evs)).is_empty()
-    });
-    trace_from_events(&minimal)
-}
-
 /// Derives one irregular-workload trace from `(kind, seed, events)`:
 /// the adversary family salts the seed (so every slot of a fuzz plan
 /// lands on a different corner), the salted seed picks an irregular
@@ -631,14 +599,13 @@ pub fn irregular_trace(kind: Adversary, seed: u64, events: usize) -> (String, Tr
 }
 
 /// Cross-checks one irregular-workload trace through every layer at
-/// once: the shadow-oracle differential ([`check_trace`]) and the
-/// monomorphic lanes ([`check_lane`]). Pointer-chasing streams have none
-/// of the
-/// affine kernels' regularity, so this is the leg that aims the whole
-/// verification stack at data-dependent access patterns.
+/// once: the shadow-oracle differential ([`check_trace`]) and replay
+/// against direct execution ([`check_replay`]). Pointer-chasing streams
+/// have none of the affine kernels' regularity, so this is the leg that
+/// aims the whole verification stack at data-dependent access patterns.
 pub fn check_irregular(label: &str, trace: &Trace) -> Vec<String> {
     let mut failures = check_trace(label, trace).failures;
-    failures.extend(check_lane(label, trace));
+    failures.extend(check_replay(label, trace));
     failures
 }
 
@@ -648,7 +615,8 @@ pub fn check_irregular(label: &str, trace: &Trace) -> Vec<String> {
 /// # Errors
 ///
 /// Returns the structured [`CheckFailure`] when any organization fails
-/// the oracle differential or the lane cross-check on the derived trace.
+/// the oracle differential or the replay cross-check on the derived
+/// trace.
 pub fn run_irregular_case(kind: Adversary, seed: u64, events: usize) -> Result<(), CheckFailure> {
     let (label, trace) = irregular_trace(kind, seed, events);
     let failures = check_irregular(&label, &trace);
@@ -973,37 +941,48 @@ mod tests {
         assert_eq!(report.reports[0].organization, "SRAM baseline");
     }
 
+    /// Replay must match direct execution on `kind`'s adversarial trace.
+    fn assert_replay_clean(kind: Adversary, events: usize) {
+        let trace = adversarial_trace(kind, DEFAULT_SEED, events);
+        let failures = check_replay("unit", &trace);
+        assert!(failures.is_empty(), "failures: {failures:#?}");
+    }
+
     /// Line-straddling and random traces, once the inputs of the
-    /// compiled-replay cross-check, replay clean through the lane
-    /// cross-check.
+    /// compiled-replay cross-check, replay clean against direct
+    /// execution.
     #[test]
     fn compiled_cross_check_passes_on_adversarial_traces() {
         for kind in [Adversary::LineStraddle, Adversary::RandomMix] {
-            let trace = adversarial_trace(kind, DEFAULT_SEED, 400);
-            let failures = check_lane("unit", &trace);
-            assert!(failures.is_empty(), "failures: {failures:#?}");
+            assert_replay_clean(kind, 400);
         }
     }
 
     /// The bank ping-pong seed, once the compiled case runner's quick
-    /// check, runs clean through the lane case runner.
+    /// check, replays clean against direct execution.
     #[test]
     fn compiled_case_runner_reports_clean_on_a_quick_seed() {
-        assert!(run_lane_case(Adversary::BankPingPong, DEFAULT_SEED, 300).is_ok());
+        assert_replay_clean(Adversary::BankPingPong, 300);
     }
 
     #[test]
     fn lane_cross_check_passes_on_adversarial_traces() {
         for kind in [Adversary::AliasWriteBurst, Adversary::RandomMix] {
-            let trace = adversarial_trace(kind, DEFAULT_SEED, 400);
-            let failures = check_lane("unit", &trace);
-            assert!(failures.is_empty(), "failures: {failures:#?}");
+            assert_replay_clean(kind, 400);
         }
     }
 
     #[test]
     fn lane_case_runner_reports_clean_on_a_quick_seed() {
-        assert!(run_lane_case(Adversary::MshrSaturation, DEFAULT_SEED, 300).is_ok());
+        assert_replay_clean(Adversary::MshrSaturation, 300);
+    }
+
+    /// Every adversary family replays clean against direct execution.
+    #[test]
+    fn replay_cross_check_is_clean_on_every_adversary_family() {
+        for kind in Adversary::ALL {
+            assert_replay_clean(kind, 600);
+        }
     }
 
     #[test]

@@ -37,32 +37,11 @@ pub use profile::{ProfileReport, ProfileSnapshot};
 pub use trace_cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use workload::WorkloadError;
 
-/// Parses the environment variable `name` with `parse` (after trimming
-/// whitespace); `Ok(None)` when it is unset.
-///
-/// # Errors
-///
-/// Names the variable, its value and `expected` when `parse` rejects it.
-pub(crate) fn env_knob<T>(
-    name: &str,
-    expected: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Ok(v) => parse(v.trim())
-            .map(Some)
-            .ok_or_else(|| format!("{name}='{v}' is invalid: expected {expected}")),
-        Err(std::env::VarError::NotUnicode(v)) => {
-            Err(format!("{name}={v:?} is invalid: expected {expected}"))
-        }
-    }
-}
-
 /// Checks the environment knobs the `figures` and `sim` binaries read
-/// (`STTCACHE_THREADS`, `STTCACHE_TRACE_CACHE_BYTES`), so a malformed
-/// value stops the run with a message instead of falling back to the
-/// default.
+/// (`STTCACHE_THREADS`, `STTCACHE_TRACE_CACHE_BYTES` and the boolean
+/// `STTCACHE_TRACE_CHECK`, `STTCACHE_INVARIANTS`, `STTCACHE_TELEMETRY`),
+/// so a malformed value stops the run with a message instead of falling
+/// back to the default.
 ///
 /// # Errors
 ///
@@ -70,5 +49,12 @@ pub(crate) fn env_knob<T>(
 pub fn check_env() -> Result<(), String> {
     parallel::threads_from_env()?;
     trace_cache::cap_bytes_from_env()?;
+    for flag in [
+        "STTCACHE_TRACE_CHECK",
+        "STTCACHE_INVARIANTS",
+        "STTCACHE_TELEMETRY",
+    ] {
+        sttcache_mem::env_flag(flag)?;
+    }
     Ok(())
 }

@@ -116,7 +116,7 @@ pub fn grid(
 /// Names the variable and its value when it is set to anything but a
 /// positive integer.
 pub(crate) fn threads_from_env() -> Result<Option<usize>, String> {
-    crate::env_knob("STTCACHE_THREADS", "a positive integer", |v| {
+    sttcache_mem::env_knob("STTCACHE_THREADS", "a positive integer", |v| {
         v.parse().ok().filter(|&n: &usize| n > 0)
     })
 }

@@ -146,7 +146,7 @@ const DEFAULT_CAP_BYTES: usize = 512 * 1024 * 1024;
 /// Names the variable and its value when it is set to anything but a
 /// non-negative integer.
 pub(crate) fn cap_bytes_from_env() -> Result<usize, String> {
-    let cap = crate::env_knob("STTCACHE_TRACE_CACHE_BYTES", "a byte count", |v| {
+    let cap = sttcache_mem::env_knob("STTCACHE_TRACE_CACHE_BYTES", "a byte count", |v| {
         v.parse().ok()
     })?;
     Ok(cap.unwrap_or(DEFAULT_CAP_BYTES))
@@ -525,15 +525,12 @@ pub fn drive<E: Engine>(
     }
 }
 
-/// Whether `STTCACHE_TRACE_CHECK=1` asked for the replay-vs-direct
-/// cross-check on SRAM-baseline grid points.
+/// Whether `STTCACHE_TRACE_CHECK` asked for the replay-vs-direct
+/// cross-check on SRAM-baseline grid points (a malformed value reads as
+/// off; the binaries reject it up front, [`crate::check_env`]).
 fn trace_check_requested() -> bool {
     static CHECK: OnceLock<bool> = OnceLock::new();
-    *CHECK.get_or_init(|| {
-        std::env::var("STTCACHE_TRACE_CHECK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
+    *CHECK.get_or_init(|| sttcache_mem::env_flag("STTCACHE_TRACE_CHECK").unwrap_or(false))
 }
 
 #[cfg(test)]

@@ -61,7 +61,6 @@ pub mod catalog;
 mod dl1;
 mod error;
 mod front_end;
-mod lane;
 mod multi;
 mod penalty;
 mod platform;
@@ -75,21 +74,16 @@ pub use dl1::{
 };
 pub use error::SttError;
 pub use front_end::FrontEnd;
-pub use lane::{LaneMode, LanePort, PlainLane, ReplayLane};
 pub use multi::{
-    core_addr, CoreSpec, McFrontEnd, McHierarchy, MultiAudit, MultiPlatform, MultiPlatformConfig,
-    MultiRunResult, SharedL2, CORE_ADDRESS_STRIDE, MAX_CORES,
+    core_addr, CoreSpec, MultiAudit, MultiPlatform, MultiPlatformConfig, MultiRunResult, SharedL2,
+    CORE_ADDRESS_STRIDE, MAX_CORES,
 };
 pub use penalty::{average_penalty, penalty_pct, PenaltyRow};
 pub use platform::{
-    DCacheOrganization, EnergyReport, IcacheConfig, Platform, PlatformConfig, RunResult,
+    DCacheOrganization, EnergyReport, IcacheConfig, LaneMode, Platform, PlatformConfig, RunResult,
 };
 pub use stage::{
     probe_then_fetch, BufferStage, BufferStats, Buffered, StackSpec, StackedStage, StageSpec,
     StageStats, StageTelemetry,
 };
 pub use vwb::{VwbConfig, VwbFrontEnd, VwbStage};
-
-/// The concrete two-level hierarchy under every front-end:
-/// DL1 → unified L2 → main memory.
-pub type Hierarchy = sttcache_mem::Cache<sttcache_mem::Cache<sttcache_mem::MainMemory>>;

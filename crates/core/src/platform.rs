@@ -8,16 +8,14 @@
 //! ratio.
 
 use crate::baselines::{EmshrConfig, L0Config};
-use crate::baselines::{EmshrStage, L0Stage};
 use crate::dl1::{
     l2_config, nvm_dl1_config, nvm_il1_config, sram_dl1_config, sram_il1_config, DlOneTechnology,
 };
 use crate::front_end::FrontEnd;
-use crate::lane::{LaneMode, LanePort, PlainLane, ReplayLane};
-use crate::stage::{BufferStats, Buffered, StackSpec, StageSpec, StageStats};
-use crate::vwb::{VwbConfig, VwbStage};
-use crate::{Hierarchy, SttError};
-use sttcache_cpu::{Core, CoreConfig, CoreReport, Engine, FetchUnit, MemPort, Trace};
+use crate::stage::{BufferStats, StackSpec, StageStats};
+use crate::vwb::VwbConfig;
+use crate::SttError;
+use sttcache_cpu::{Core, CoreConfig, CoreReport, DataPort, Engine, FetchUnit, Trace};
 use sttcache_mem::{Cache, CacheConfig, CacheStats, MainMemory};
 use sttcache_tech::{ArrayModel, CellKind, LeakageIntegrator};
 
@@ -80,6 +78,33 @@ impl DCacheOrganization {
             DCacheOrganization::SramBaseline => DlOneTechnology::Sram,
             _ => DlOneTechnology::SttMram,
         }
+    }
+
+    /// The DL1 geometry and timing: `dl1_override` when set, the
+    /// canonical configuration of [`Self::dl1_technology`] otherwise.
+    pub(crate) fn dl1_config(
+        &self,
+        dl1_override: Option<CacheConfig>,
+    ) -> Result<CacheConfig, SttError> {
+        match (dl1_override, self.dl1_technology()) {
+            (Some(cfg), _) => Ok(cfg),
+            (None, DlOneTechnology::Sram) => sram_dl1_config(),
+            (None, DlOneTechnology::SttMram) => nvm_dl1_config(),
+        }
+    }
+}
+
+/// The argument of [`Platform::replay_lane_kind`]. Kept only for the
+/// `sttbench` harness, which names both: every trace replays through the
+/// one [`FrontEnd`], so there is nothing to choose, and
+/// [`LaneMode::from_env`] reads no environment variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneMode;
+
+impl LaneMode {
+    /// The one mode.
+    pub fn from_env() -> Self {
+        LaneMode
     }
 }
 
@@ -169,59 +194,13 @@ impl Platform {
     /// (validated eagerly by building the hierarchy once).
     pub fn with_config(config: PlatformConfig) -> Result<Self, SttError> {
         let p = Platform { config };
-        p.build_front_end()?; // eager validation
+        p.front_end()?; // eager validation
         Ok(p)
     }
 
     /// The configuration.
     pub fn config(&self) -> &PlatformConfig {
         &self.config
-    }
-
-    fn dl1_config(&self) -> Result<CacheConfig, SttError> {
-        if let Some(cfg) = self.config.dl1_override {
-            return Ok(cfg);
-        }
-        match self.config.organization.dl1_technology() {
-            DlOneTechnology::Sram => sram_dl1_config(),
-            DlOneTechnology::SttMram => nvm_dl1_config(),
-        }
-    }
-
-    /// Builds the cold concrete hierarchy (DL1 → L2 → memory) every
-    /// front-end and replay lane wraps.
-    fn build_hierarchy(&self) -> Result<Hierarchy, SttError> {
-        let l2cfg = match self.config.l2_override {
-            Some(cfg) => cfg,
-            None => l2_config()?,
-        };
-        let mut tail = Cache::new(l2cfg, MainMemory::new(self.config.memory_latency));
-        tail.set_telemetry_component("l2");
-        let mut dl1 = Cache::new(self.dl1_config()?, tail);
-        dl1.set_telemetry_component("dl1");
-        Ok(dl1)
-    }
-
-    fn build_front_end(&self) -> Result<FrontEnd, SttError> {
-        let dl1 = self.build_hierarchy()?;
-        let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.organization {
-            DCacheOrganization::SramBaseline | DCacheOrganization::NvmDropIn => {
-                FrontEnd::Plain(MemPort::new(dl1))
-            }
-            DCacheOrganization::NvmVwb(cfg) => {
-                FrontEnd::buffered(StageSpec::Vwb(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmL0(cfg) => {
-                FrontEnd::buffered(StageSpec::L0(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmEmshr(cfg) => {
-                FrontEnd::buffered(StageSpec::Emshr(cfg).build(line_bits)?, dl1)
-            }
-            DCacheOrganization::NvmStack(spec) => {
-                FrontEnd::buffered(Box::new(spec.build(line_bits)?), dl1)
-            }
-        })
     }
 
     /// Builds a cold front-end for this configuration — the same
@@ -237,107 +216,71 @@ impl Platform {
     /// eagerly); the `Result` keeps the signature honest for future
     /// configuration surfaces.
     pub fn front_end(&self) -> Result<FrontEnd, SttError> {
-        self.build_front_end()
+        let l2cfg = match self.config.l2_override {
+            Some(cfg) => cfg,
+            None => l2_config()?,
+        };
+        let mut tail = Cache::new(l2cfg, MainMemory::new(self.config.memory_latency));
+        tail.set_telemetry_component("l2");
+        FrontEnd::build(
+            self.config.organization,
+            self.config.dl1_override,
+            tail,
+            "dl1",
+        )
+    }
+
+    fn cold_front_end(&self) -> FrontEnd {
+        self.front_end()
+            .expect("configuration was validated eagerly")
     }
 
     /// Runs a workload on a cold platform and collects every statistic.
     ///
     /// The workload drives the core through [`Engine`]; see
     /// `sttcache-workloads` for the PolyBench kernels. To run a
-    /// pre-recorded event stream instead, use [`Platform::run_trace`] —
-    /// it replays through a monomorphic fast path.
+    /// pre-recorded event stream instead, use [`Platform::run_trace`].
     pub fn run(&self, workload: impl FnOnce(&mut dyn Engine)) -> RunResult {
-        self.run_core(|core| workload(core))
+        self.run_on(self.cold_front_end(), |fe| fe, |core| workload(core))
     }
 
     /// Replays a recorded [`Trace`] on a cold platform.
     ///
     /// Statistically and cycle-for-cycle identical to [`Platform::run`]
-    /// with a workload that emits the same event stream, but events are
-    /// dispatched through [`Trace::replay_into`] into a monomorphic
-    /// [`ReplayLane`] selected once for this configuration — static calls
-    /// instead of one virtual call per access. This is the
-    /// record-once/replay-many path the sweep engine's trace cache uses.
-    /// Set `STTCACHE_REPLAY_LANE=generic` to force the generic referee
-    /// path (see [`LaneMode::from_env`]).
+    /// with a workload that emits the same event stream, but the
+    /// [`FrontEnd`] variant is matched once and its concrete port drives
+    /// the core, so every event is dispatched through static calls. This
+    /// is the record-once/replay-many path the sweep engine's trace cache
+    /// uses.
     pub fn run_trace(&self, trace: &Trace) -> RunResult {
-        self.run_trace_with(trace, LaneMode::from_env())
-    }
-
-    /// [`Platform::run_trace`] with an explicit lane mode — the handle the
-    /// lane-equivalence battery uses to compare the monomorphic lanes
-    /// against the generic referee without touching process-global state.
-    pub fn run_trace_with(&self, trace: &Trace, mode: LaneMode) -> RunResult {
-        let lane = self
-            .build_lane(mode)
-            .expect("configuration was validated eagerly");
-        self.run_lane(lane, trace)
-    }
-
-    /// Which [`ReplayLane`] this configuration selects under the given
-    /// mode — the [`ReplayLane::kind`] identifier, for diagnostics and
-    /// for the lane-equivalence battery to assert that stock
-    /// organizations really replay monomorphically (and would not pass
-    /// trivially by comparing the generic path against itself).
-    pub fn replay_lane_kind(&self, mode: LaneMode) -> &'static str {
-        self.build_lane(mode)
-            .expect("configuration was validated eagerly")
-            .kind()
-    }
-
-    /// Builds the replay lane for this configuration: monomorphic for the
-    /// stock organizations under [`LaneMode::Auto`], the generic
-    /// [`FrontEnd`] for ad-hoc stage stacks or under [`LaneMode::Generic`].
-    fn build_lane(&self, mode: LaneMode) -> Result<ReplayLane, SttError> {
-        use DCacheOrganization as Org;
-        if matches!(mode, LaneMode::Generic) || matches!(self.config.organization, Org::NvmStack(_))
-        {
-            return Ok(ReplayLane::Generic(self.build_front_end()?));
-        }
-        let dl1 = self.build_hierarchy()?;
-        let line_bits = dl1.config().line_bytes() * 8;
-        Ok(match self.config.organization {
-            Org::SramBaseline | Org::NvmDropIn => ReplayLane::Plain(PlainLane::new(dl1)),
-            Org::NvmVwb(cfg) => {
-                ReplayLane::Vwb(Buffered::compose(VwbStage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmL0(cfg) => {
-                ReplayLane::L0(Buffered::compose(L0Stage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmEmshr(cfg) => {
-                ReplayLane::Emshr(Buffered::compose(EmshrStage::new(cfg, line_bits)?, dl1))
-            }
-            Org::NvmStack(_) => unreachable!("stacks were routed to the generic lane above"),
-        })
-    }
-
-    /// Replays `trace` on `lane` — one [`Platform::run_core_on`]
-    /// monomorphization per lane variant, so the whole replay loop
-    /// devirtualizes at compile time.
-    fn run_lane(&self, lane: ReplayLane, trace: &Trace) -> RunResult {
-        match lane {
-            ReplayLane::Plain(p) => self.run_core_on(p, |c| trace.replay_into(c)),
-            ReplayLane::Vwb(p) => self.run_core_on(p, |c| trace.replay_into(c)),
-            ReplayLane::L0(p) => self.run_core_on(p, |c| trace.replay_into(c)),
-            ReplayLane::Emshr(p) => self.run_core_on(p, |c| trace.replay_into(c)),
-            ReplayLane::Generic(fe) => self.run_core_on(fe, |c| trace.replay_into(c)),
+        match self.cold_front_end() {
+            FrontEnd::Plain(p) => self.run_on(p, FrontEnd::Plain, |c| trace.replay_into(c)),
+            FrontEnd::Vwb(p) => self.run_on(p, FrontEnd::Vwb, |c| trace.replay_into(c)),
+            FrontEnd::L0(p) => self.run_on(p, FrontEnd::L0, |c| trace.replay_into(c)),
+            FrontEnd::Emshr(p) => self.run_on(p, FrontEnd::Emshr, |c| trace.replay_into(c)),
+            FrontEnd::Stacked(p) => self.run_on(p, FrontEnd::Stacked, |c| trace.replay_into(c)),
         }
     }
 
-    /// Shared body of [`Platform::run`] and the generic replay path:
-    /// builds the cold front-end, lets `drive` push events into the
-    /// concrete core, then assembles the full [`RunResult`].
-    fn run_core(&self, drive: impl FnOnce(&mut Core<FrontEnd>)) -> RunResult {
-        let front_end = self
-            .build_front_end()
-            .expect("configuration was validated eagerly");
-        self.run_core_on(front_end, drive)
+    /// The [`FrontEnd`] variant this configuration builds: `plain`,
+    /// `vwb`, `l0`, `emshr` or `stacked`. Kept, with its [`LaneMode`]
+    /// argument, only for the `sttbench` harness, which reports it per
+    /// organization.
+    pub fn replay_lane_kind(&self, _mode: LaneMode) -> &'static str {
+        self.cold_front_end().kind()
     }
 
-    /// [`Platform::run_core`] generic over the port type: the replay
-    /// lanes instantiate this once per monomorphic organization, so the
-    /// per-event path below `Core` carries no dynamic dispatch.
-    fn run_core_on<P: LanePort>(&self, port: P, drive: impl FnOnce(&mut Core<P>)) -> RunResult {
+    /// Drives a cold core over `port` with `drive`, then re-wraps the
+    /// port with `wrap` and assembles the full [`RunResult`] from the
+    /// [`FrontEnd`]. Generic over the port so [`Platform::run_trace`]
+    /// instantiates it once per concrete stage and the per-event path
+    /// below `Core` carries no dynamic dispatch.
+    fn run_on<P: DataPort>(
+        &self,
+        port: P,
+        wrap: impl FnOnce(P) -> FrontEnd,
+        drive: impl FnOnce(&mut Core<P>),
+    ) -> RunResult {
         let mut core = Core::new(self.config.core, port);
         if let Some(ic) = self.config.icache {
             let il1_cfg = match ic.technology {
@@ -355,14 +298,19 @@ impl Platform {
         drive(&mut core);
         let report = core.report();
         let il1 = core.fetch_unit().map(|f| *f.il1().stats());
-        let fe = core.into_port();
+        self.result(report, il1, &wrap(core.into_port()))
+    }
+
+    /// Assembles a [`RunResult`] from a finished run's core report and
+    /// its front-end's statistics.
+    fn result(&self, core: CoreReport, il1: Option<CacheStats>, fe: &FrontEnd) -> RunResult {
         let dl1 = *fe.dl1_stats();
         let l2 = *fe.l2_stats();
         let buffers = fe.stage_stats();
-        let energy = self.energy_report(&report, &dl1, &l2, &buffers);
+        let energy = self.energy_report(&core, &dl1, &l2, &buffers);
         RunResult {
             organization: self.config.organization,
-            core: report,
+            core,
             dl1,
             l2,
             memory: *fe.memory_stats(),
@@ -381,11 +329,8 @@ impl Platform {
     /// Explicit instruction-cache modelling ([`PlatformConfig::icache`])
     /// is not applied to warm runs; [`RunResult::il1`] is `None`.
     pub fn run_warm(&self, workload: impl Fn(&mut dyn Engine)) -> RunResult {
-        let front_end = self
-            .build_front_end()
-            .expect("configuration was validated eagerly");
         // Warm-up pass.
-        let mut core = Core::new(self.config.core, front_end);
+        let mut core = Core::new(self.config.core, self.cold_front_end());
         workload(&mut core);
         let _ = core.report();
         let resume_at = core.now();
@@ -396,27 +341,13 @@ impl Platform {
         let mut core = Core::starting_at(self.config.core, fe, resume_at);
         workload(&mut core);
         let report = core.report();
-        let fe = core.into_port();
-        let dl1 = *fe.dl1_stats();
-        let l2 = *fe.l2_stats();
-        let buffers = fe.stage_stats();
-        let energy = self.energy_report(&report, &dl1, &l2, &buffers);
-        RunResult {
-            organization: self.config.organization,
-            core: report,
-            dl1,
-            l2,
-            memory: *fe.memory_stats(),
-            il1: None,
-            buffers,
-            energy,
-        }
+        self.result(report, None, &core.into_port())
     }
 
     /// First-order energy model: per-access dynamic energy from the
     /// `sttcache-tech` array models plus leakage integrated over the run.
-    /// Takes the extracted statistics rather than a port so every lane
-    /// type (and the generic front-end) feeds the same model.
+    /// Takes the extracted statistics rather than a port so single-core
+    /// and multi-core runs feed the same model.
     pub(crate) fn energy_report(
         &self,
         report: &CoreReport,
@@ -424,7 +355,11 @@ impl Platform {
         l2: &CacheStats,
         buffers: &[StageStats],
     ) -> EnergyReport {
-        let dl1_cfg = self.dl1_config().expect("validated");
+        let dl1_cfg = self
+            .config
+            .organization
+            .dl1_config(self.config.dl1_override)
+            .expect("validated");
         let cell = self.config.organization.dl1_technology().cell_kind();
         let dl1_model = dl1_cfg
             .array_config(cell)
@@ -699,9 +634,9 @@ mod tests {
         };
         for entry in crate::catalog::catalog() {
             let p = Platform::new(entry.organization).unwrap();
-            let lane = p.run_trace_with(&trace, crate::LaneMode::Auto);
-            let referee = p.run_trace_with(&trace, crate::LaneMode::Generic);
-            assert_eq!(lane, referee, "{}", entry.organization.name());
+            let replayed = p.run_trace(&trace);
+            let direct = p.run(|e| trace.replay(e));
+            assert_eq!(replayed, direct, "{}", entry.organization.name());
         }
     }
 
@@ -712,20 +647,12 @@ mod tests {
             .map(|e| {
                 Platform::new(e.organization)
                     .unwrap()
-                    .build_lane(crate::LaneMode::Auto)
-                    .unwrap()
-                    .kind()
+                    .replay_lane_kind(LaneMode::from_env())
             })
             .collect();
-        for k in ["plain", "vwb", "l0", "emshr", "generic"] {
-            assert!(kinds.contains(&k), "no catalog entry selects lane {k}");
+        for k in ["plain", "vwb", "l0", "emshr", "stacked"] {
+            assert!(kinds.contains(&k), "no catalog entry builds front-end {k}");
         }
-        // The generic mode forces the referee everywhere.
-        let p = Platform::new(DCacheOrganization::nvm_vwb_default()).unwrap();
-        assert_eq!(
-            p.build_lane(crate::LaneMode::Generic).unwrap().kind(),
-            "generic"
-        );
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub struct StageTelemetry {
 /// level's tags and fetches the line on a miss, without blocking the core.
 /// Stages that promote resident lines into their own storage (the VWB)
 /// override [`BufferStage::prefetch`] instead.
-/// Generic over the backing level so monomorphic replay lanes keep
-/// static dispatch; `?Sized` keeps the `&mut dyn MemoryLevel` callers
-/// inside boxed stages working unchanged.
+/// Generic over the backing level so the plain front-end keeps static
+/// dispatch; `?Sized` keeps the `&mut dyn MemoryLevel` callers inside
+/// stages working unchanged.
 pub fn probe_then_fetch<M: MemoryLevel + ?Sized>(below: &mut M, addr: Addr, now: Cycle) {
     if !below.contains(addr) {
         let _ = below.read(addr, now);
@@ -109,8 +109,9 @@ pub fn probe_then_fetch<M: MemoryLevel + ?Sized>(below: &mut M, addr: Addr, now:
 /// A small buffer structure between the datapath and a backing
 /// [`MemoryLevel`].
 ///
-/// Object-safe: organizations hold stages as `Box<dyn BufferStage>` and
-/// compose them with [`StackedStage`] without new enum variants. Timing
+/// Object-safe: [`StackedStage`] holds its constituents as
+/// `Box<dyn BufferStage>`, so catalog organizations compose existing
+/// stages without new front-end variants. Timing
 /// flows through the [`AccessOutcome`] returned by `read`/`write`; a
 /// stage hit reports [`ServedBy::ThisLevel`](sttcache_mem::ServedBy),
 /// while misses propagate the backing level's verdict so stacked stages
@@ -190,64 +191,6 @@ impl Clone for Box<dyn BufferStage> {
     }
 }
 
-impl BufferStage for Box<dyn BufferStage> {
-    fn kind(&self) -> &'static str {
-        (**self).kind()
-    }
-
-    fn read(&mut self, below: &mut dyn MemoryLevel, addr: Addr, now: Cycle) -> AccessOutcome {
-        (**self).read(below, addr, now)
-    }
-
-    fn write(&mut self, below: &mut dyn MemoryLevel, addr: Addr, now: Cycle) -> AccessOutcome {
-        (**self).write(below, addr, now)
-    }
-
-    fn prefetch(&mut self, below: &mut dyn MemoryLevel, addr: Addr, now: Cycle) {
-        (**self).prefetch(below, addr, now);
-    }
-
-    fn contains(&self, addr: Addr, line_bytes: usize) -> bool {
-        (**self).contains(addr, line_bytes)
-    }
-
-    fn flush_dirty(&mut self, below: &mut dyn MemoryLevel, now: Cycle) -> (usize, Cycle) {
-        (**self).flush_dirty(below, now)
-    }
-
-    fn dirty_entries(&self) -> usize {
-        (**self).dirty_entries()
-    }
-
-    fn resident_lines(&self, line_bytes: usize) -> Vec<Addr> {
-        (**self).resident_lines(line_bytes)
-    }
-
-    fn check_invariants(&self, now: Cycle) {
-        (**self).check_invariants(now);
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats();
-    }
-
-    fn stats(&self) -> BufferStats {
-        (**self).stats()
-    }
-
-    fn collect_stats(&self, out: &mut Vec<StageStats>) {
-        (**self).collect_stats(out);
-    }
-
-    fn collect_telemetry(&self, line_bytes: usize, out: &mut Vec<StageTelemetry>) {
-        (**self).collect_telemetry(line_bytes, out);
-    }
-
-    fn boxed_clone(&self) -> Box<dyn BufferStage> {
-        (**self).boxed_clone()
-    }
-}
-
 /// A [`BufferStage`] paired with its backing hierarchy, exposed as a
 /// [`DataPort`] for the core.
 ///
@@ -286,6 +229,11 @@ impl<S: BufferStage, M: MemoryLevel> Buffered<S, M> {
     /// Mutable access to the backing level.
     pub fn below_mut(&mut self) -> &mut M {
         &mut self.below
+    }
+
+    /// Mutable access to the stage and the backing level at once.
+    pub(crate) fn parts_mut(&mut self) -> (&mut S, &mut M) {
+        (&mut self.stage, &mut self.below)
     }
 
     /// Whether the stage holds the line containing `addr`.
@@ -387,7 +335,7 @@ impl MemoryLevel for StagedLevel<'_> {
 /// the beyond-paper hybrid (a VWB front over an EMSHR-enhanced DL1) is a
 /// `StackedStage` of the two existing implementations, with no new
 /// front-end code.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StackedStage {
     outer: Box<dyn BufferStage>,
     inner: Box<dyn BufferStage>,
@@ -497,10 +445,7 @@ impl BufferStage for StackedStage {
     }
 
     fn boxed_clone(&self) -> Box<dyn BufferStage> {
-        Box::new(StackedStage {
-            outer: self.outer.clone(),
-            inner: self.inner.clone(),
-        })
+        Box::new(self.clone())
     }
 }
 

@@ -59,8 +59,9 @@ thread_local! {
 
 /// Whether invariant checking is enabled on this process.
 ///
-/// Reads `STTCACHE_INVARIANTS` once (any value other than `0`/`false`/""
-/// enables the gate); afterwards it is a single relaxed atomic load.
+/// Reads `STTCACHE_INVARIANTS` once with [`crate::env_flag`] (a malformed
+/// value reads as off; the binaries reject it up front); afterwards it is
+/// a single relaxed atomic load.
 /// [`set_enabled`] overrides the environment at any time.
 #[inline]
 pub fn enabled() -> bool {
@@ -73,9 +74,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = std::env::var("STTCACHE_INVARIANTS")
-        .map(|v| !v.is_empty() && v != "0" && v != "false")
-        .unwrap_or(false);
+    let on = crate::env_flag("STTCACHE_INVARIANTS").unwrap_or(false);
     // Racing first calls agree on the same env-derived value, so a plain
     // store is fine; a concurrent set_enabled wins either way on its own
     // subsequent store.

@@ -43,6 +43,7 @@ mod addr;
 mod banks;
 mod cache;
 mod config;
+mod env;
 mod error;
 mod gates;
 pub mod invariants;
@@ -61,6 +62,7 @@ pub use addr::{Addr, Cycle, LineAddr};
 pub use banks::BankSchedule;
 pub use cache::{AccessOutcome, Cache, ServedBy};
 pub use config::{AsymmetricWrite, CacheConfig, CacheConfigBuilder, WritePolicy};
+pub use env::{env_flag, env_knob};
 pub use error::MemError;
 pub use invariants::InvariantViolation;
 pub use memory::MainMemory;

@@ -38,8 +38,9 @@ static GATE: AtomicU8 = AtomicU8::new(0);
 
 /// Whether telemetry collection is enabled in this process.
 ///
-/// Reads `STTCACHE_TELEMETRY` once (any value other than `0`/`false`/""
-/// enables the gate); afterwards it is a single relaxed atomic load.
+/// Reads `STTCACHE_TELEMETRY` once with [`crate::env_flag`] (a malformed
+/// value reads as off; the binaries reject it up front); afterwards it is
+/// a single relaxed atomic load.
 /// [`set_enabled`] overrides the environment at any time.
 #[inline]
 pub fn enabled() -> bool {
@@ -52,9 +53,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = std::env::var("STTCACHE_TELEMETRY")
-        .map(|v| !v.is_empty() && v != "0" && v != "false")
-        .unwrap_or(false);
+    let on = crate::env_flag("STTCACHE_TELEMETRY").unwrap_or(false);
     // Racing first calls agree on the same env-derived value, so a plain
     // store is fine; a concurrent set_enabled wins either way on its own
     // subsequent store.

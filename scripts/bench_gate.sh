@@ -4,8 +4,8 @@
 # the fresh run regresses by more than 25 % on either
 #
 #   * total_seconds — the whole sweep's wall-clock,
-#   * the replay phase — replay_seconds, the part the monomorphic
-#     replay lanes are responsible for, or
+#   * the replay phase — replay_seconds, the part trace replay through
+#     the front-end's concrete ports is responsible for, or
 #   * replay_phase_ns_per_event — the same phase normalized per replayed
 #     event, so a regression shows even if the event mix shrinks, or
 #   * two_core_mix_ms — the wall-clock of the default two-core mix over

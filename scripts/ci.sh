@@ -15,17 +15,14 @@ STTCACHE_INVARIANTS=1 cargo test -q --offline
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Differential fuzzer: adversarial traces on every catalog organization,
-# cross-checked against the shadow-memory oracle and the SRAM baseline —
-# then the same trace battery through the monomorphic-lane-vs-generic-
-# referee cross-check.
+# cross-checked against the shadow-memory oracle and the SRAM baseline.
 ./target/release/sttcache-check --quick
-./target/release/sttcache-check --quick --kind lane
 # Same battery as randomized 2-4 core mixes over the shared L2:
 # co-scheduled runs cross-checked against per-core isolated runs, the
 # per-core shadow oracles and the residency/conservation audit.
 ./target/release/sttcache-check --quick --kind multicore
-# The irregular pointer-chasing family through the oracle and lane
-# cross-checks at once — data-dependent streams, no affine safety net.
+# The irregular pointer-chasing family through the oracle and
+# replay-vs-direct cross-checks at once — data-dependent streams, no affine safety net.
 ./target/release/sttcache-check --quick --kind irregular --events 2000
 
 smoke="$(mktemp)"
@@ -42,11 +39,6 @@ diff -u figures_output.txt "$smoke"
 # cross-checked against direct execution, and with the runtime invariant
 # checkers armed.
 ./target/release/figures all --no-trace-cache > "$smoke"
-diff -u figures_output.txt "$smoke"
-
-# The monomorphic replay lanes must also be invisible: byte-identical
-# with every replay forced through the generic dispatch referee.
-STTCACHE_REPLAY_LANE=generic ./target/release/figures all > "$smoke"
 diff -u figures_output.txt "$smoke"
 
 STTCACHE_TRACE_CHECK=1 ./target/release/figures all > "$smoke"
@@ -132,4 +124,4 @@ fi
 # too noisy to enforce a 25 % bound.
 STTCACHE_BENCH_GATE="${STTCACHE_BENCH_GATE:-fail}" scripts/bench_gate.sh
 
-echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + lane + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks, benchmark digests and bench gate all green"
+echo "ci: fmt, build, tests (plain + invariants armed), clippy, differential + multicore + irregular fuzzers, figures smoke (telemetry on and off), multi-core + irregular determinism, external-trace replay, trace-cache checks, benchmark digests and bench gate all green"

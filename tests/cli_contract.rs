@@ -83,6 +83,21 @@ fn sim_rejects_vwb_bits_without_the_vwb_organization() {
 }
 
 #[test]
+fn sim_rejects_a_vwb_size_that_holds_no_line() {
+    for bits in ["0", "3"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_sim"),
+            &["--bench", "gemm", "--org", "vwb", "--vwb-bits", bits],
+        );
+        assert_rejected(
+            &out,
+            &format!("--vwb-bits {bits}"),
+            &["invalid configuration", "512-bit line"],
+        );
+    }
+}
+
+#[test]
 fn sim_reports_an_overflowing_mix_offset_as_such() {
     let out = run(
         env!("CARGO_BIN_EXE_sim"),
@@ -101,10 +116,26 @@ fn malformed_env_knobs_exit_2_naming_the_variable_and_value() {
         ("STTCACHE_THREADS", "-1"),
         ("STTCACHE_THREADS", "0"),
         ("STTCACHE_TRACE_CACHE_BYTES", "abc"),
+        ("STTCACHE_TRACE_CHECK", "yes"),
+        ("STTCACHE_INVARIANTS", "maybe"),
+        ("STTCACHE_TELEMETRY", "maybe"),
     ] {
         for (bin, args) in [figures, sim] {
             let out = run_with_env(bin, args, &[(var, value)]);
             assert_rejected(&out, &format!("{var}={value} {bin}"), &[var, value]);
         }
+    }
+}
+
+#[test]
+fn boolean_env_knobs_accept_every_documented_spelling() {
+    for value in ["", "0", "1", "false", "true"] {
+        let out = run_with_env(
+            env!("CARGO_BIN_EXE_figures"),
+            &["table1"],
+            &[("STTCACHE_TRACE_CHECK", value)],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "'{value}': {stderr}");
     }
 }

@@ -4,11 +4,11 @@
 //! Covers the round-trip property (write → read → replay is bit-for-bit
 //! identical to the in-memory replay) across the whole workload catalog,
 //! byte-identity of an ingested `file:` workload through every replay
-//! mode (trace cache on/off, lanes vs the generic referee, serial vs
+//! mode (trace cache on/off, replay vs direct execution, serial vs
 //! parallel sweeps), the 2-core mix grammar,
 //! and rejection of truncated/corrupt files through the mix token.
 
-use sttcache::{DCacheOrganization, LaneMode, Platform, PlatformConfig};
+use sttcache::{DCacheOrganization, Platform, PlatformConfig};
 use sttcache_bench::multicore::MixSpec;
 use sttcache_bench::{parallel::SweepRunner, trace_cache, workload};
 use sttcache_cpu::Trace;
@@ -52,9 +52,8 @@ fn round_trip_replay_is_bit_identical_across_the_catalog() {
 
 /// An ingested trace file replays byte-identically through every mode of
 /// the replay stack: direct replay is the reference, and the trace-cache
-/// pipeline must match it with the cache on or off, through the
-/// monomorphic lanes and the generic referee, and from serial and
-/// parallel sweeps. (Global toggles are flipped and
+/// pipeline must match it with the cache on or off, through replay and
+/// direct execution, and from serial and parallel sweeps. (Global toggles are flipped and
 /// restored inside this one test; the other tests in this binary do not
 /// depend on them.)
 #[test]
@@ -74,17 +73,11 @@ fn ingested_trace_replays_byte_identical_in_every_mode() {
         let platform = Platform::new(org).expect("canonical organization");
         let reference = platform.run_trace(&recorded);
 
-        // Lane vs generic referee on the registry's copy of the trace.
+        // Replay and direct execution of the registry's copy of the trace.
         let registry = trace_cache::cached_trace(w, size, t);
         assert_eq!(*registry, recorded, "registry holds the ingested bytes");
-        assert_eq!(
-            platform.run_trace_with(&registry, LaneMode::Auto),
-            reference
-        );
-        assert_eq!(
-            platform.run_trace_with(&registry, LaneMode::Generic),
-            reference
-        );
+        assert_eq!(platform.run_trace(&registry), reference);
+        assert_eq!(platform.run(|e| registry.replay(e)), reference);
 
         // The full pipeline with the trace cache on and off.
         let cfg = PlatformConfig::new(org);

@@ -1,16 +1,18 @@
 //! End-to-end equivalence of the trace-cache execution path.
 //!
-//! Every PolyBench kernel × transformation set must produce the identical
-//! [`RunResult`] — core report and full hierarchy statistics — whether the
-//! simulation runs the kernel directly or replays the shared cached trace,
-//! on the SRAM baseline (32-byte DL1 lines), the NVM drop-in (64-byte
-//! lines) and the VWB organization. This is the byte-identical-output
-//! guarantee the figures depend on.
+//! Every catalog organization × PolyBench kernel × transformation set
+//! must produce the identical [`RunResult`] — core report and full
+//! hierarchy statistics — whether the simulation runs the kernel directly
+//! through the dynamically dispatched front-end or replays the shared
+//! cached trace through the concrete port [`Platform::run_trace`] picks.
+//! This is the byte-identical-output guarantee the figures depend on.
+//!
+//! [`Platform::run_trace`]: sttcache::Platform::run_trace
 //!
 //! [`RunResult`]: sttcache::RunResult
 
 use sttcache::{DCacheOrganization, Platform, PlatformConfig};
-use sttcache_bench::trace_cache;
+use sttcache_bench::{check, trace_cache, SweepRunner};
 use sttcache_cpu::Engine;
 use sttcache_workloads::{PolyBench, ProblemSize, Transformations};
 
@@ -25,38 +27,40 @@ fn transform_sets() -> [Transformations; 5] {
     [Transformations::none(), Transformations::all(), v, p, o]
 }
 
+/// The grid points are independent, so they are spread over the sweep
+/// engine's workers; the first divergence is re-raised once all are done.
 #[test]
 fn cached_replay_matches_direct_on_every_kernel_and_transform() {
     let size = ProblemSize::Mini;
-    for org in [
-        DCacheOrganization::SramBaseline,
-        DCacheOrganization::NvmDropIn,
-        DCacheOrganization::nvm_vwb_default(),
-    ] {
+    let mut grid = Vec::new();
+    for org in check::all_organizations() {
         for bench in PolyBench::ALL {
             for t in transform_sets() {
-                let kernel = bench.kernel(size);
-                let direct = Platform::new(org)
-                    .expect("canonical configuration")
-                    .run(|e: &mut dyn Engine| kernel.run(e, t));
-                let cached = trace_cache::run_config(&PlatformConfig::new(org), bench, size, t);
-                assert_eq!(
-                    direct,
-                    cached,
-                    "cached replay diverged on {}/{}/{t}",
-                    org.name(),
-                    bench.name()
-                );
-                assert_eq!(
-                    direct.stats_text(),
-                    cached.stats_text(),
-                    "stats report diverged on {}/{}/{t}",
-                    org.name(),
-                    bench.name()
-                );
+                grid.push((org, bench, t));
             }
         }
     }
+    SweepRunner::from_env().map_ok(&grid, |_, &(org, bench, t)| {
+        let kernel = bench.kernel(size);
+        let direct = Platform::new(org)
+            .expect("canonical configuration")
+            .run(|e: &mut dyn Engine| kernel.run(e, t));
+        let cached = trace_cache::run_config(&PlatformConfig::new(org), bench, size, t);
+        assert_eq!(
+            direct,
+            cached,
+            "cached replay diverged on {}/{}/{t}",
+            org.name(),
+            bench.name()
+        );
+        assert_eq!(
+            direct.stats_text(),
+            cached.stats_text(),
+            "stats report diverged on {}/{}/{t}",
+            org.name(),
+            bench.name()
+        );
+    });
 }
 
 /// Repeating a grid point answers from the result memo with the identical
